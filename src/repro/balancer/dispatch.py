@@ -31,8 +31,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.balancer.wt import node_qp_rows, static_wt_rows
 from repro.cluster.hypervisor import Hypervisor
-from repro.stats.skewness import normalized_cov
+from repro.stats.skewness import normalized_cov, normalized_cov_rows
 from repro.trace.dataset import TraceDataset
 from repro.util.errors import ConfigError
 
@@ -101,13 +102,8 @@ def simulate_dispatch(
     sizes = node_traces.size_bytes[order].astype(float)
     qp_ids = node_traces.qp_id[order]
 
-    workers = hypervisor.worker_ids
-    num_wts = len(workers)
-    wt_index = {wt: i for i, wt in enumerate(workers)}
-    home = np.array(
-        [wt_index[hypervisor.wt_of(int(qp))] for qp in qp_ids],
-        dtype=np.int64,
-    )
+    num_wts = hypervisor.num_workers
+    home = static_wt_rows(hypervisor)[node_qp_rows(hypervisor, qp_ids)]
 
     if policy is DispatchPolicy.HASH_QP:
         assigned = home
@@ -124,13 +120,15 @@ def simulate_dispatch(
     grid = np.zeros((num_windows, num_wts))
     np.add.at(grid, (windows, assigned), sizes)
     active = grid.sum(axis=1) > 0
-    window_covs = [normalized_cov(row) for row in grid[active]]
+    window_covs = normalized_cov_rows(grid[active])
     totals = grid.sum(axis=0)
 
     return DispatchOutcome(
         node_id=hypervisor.node_id,
         policy=policy,
-        mean_window_cov=float(np.mean(window_covs)) if window_covs else 0.0,
+        mean_window_cov=(
+            float(np.mean(window_covs)) if window_covs.size else 0.0
+        ),
         total_cov=normalized_cov(totals) if totals.sum() > 0 else 0.0,
         dispatched_fraction=float(dispatched.mean()),
         added_cost_us_per_io=float(dispatched.mean() * config.sync_cost_us),
@@ -143,21 +141,28 @@ def _join_shortest_queue(
     """Assign each IO to the WT with the least outstanding bytes.
 
     Queues drain at the node's average byte rate divided evenly across
-    WTs; the fluid model keeps the replay O(n * num_wts).
+    WTs; the fluid model keeps the replay O(n * num_wts).  Each choice
+    depends on every earlier one, so this is the one replay that walks
+    IO by IO; it does so over Python floats (ties go to the first WT,
+    as with ``argmin``).
     """
     duration = max(float(timestamps[-1] - timestamps[0]), 1e-9)
-    drain_rate = sizes.sum() / duration / num_wts  # bytes/s per WT
-    backlog = np.zeros(num_wts)
+    drain_rate = float(sizes.sum() / duration / num_wts)  # bytes/s per WT
+    backlog = [0.0] * num_wts
     last_time = float(timestamps[0])
-    assigned = np.empty(timestamps.size, dtype=np.int64)
-    for index in range(timestamps.size):
-        now = float(timestamps[index])
-        backlog = np.maximum(backlog - drain_rate * (now - last_time), 0.0)
+    assigned = []
+    for now, size in zip(timestamps.tolist(), sizes.tolist()):
+        drained = drain_rate * (now - last_time)
+        if drained:
+            backlog = [
+                queued - drained if queued > drained else 0.0
+                for queued in backlog
+            ]
         last_time = now
-        target = int(np.argmin(backlog))
-        assigned[index] = target
-        backlog[target] += sizes[index]
-    return assigned
+        target = backlog.index(min(backlog))
+        assigned.append(target)
+        backlog[target] += size
+    return np.array(assigned, dtype=np.int64)
 
 
 def compare_policies(

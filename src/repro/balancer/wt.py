@@ -18,11 +18,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.balance.policies import wt_swap_decision
 from repro.cluster.hypervisor import Hypervisor
 from repro.stats.skewness import normalized_cov, p2a, top_share
 from repro.trace.dataset import ComputeMetricTable, TraceDataset
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, SimulationError
 from repro.workload.fleet import Fleet
 
 
@@ -256,21 +255,62 @@ class RebindingOutcome:
         return self.rebinding_gain < 1.0
 
 
-def _qp_period_matrix(
-    traces: TraceDataset, qp_ids: List[int], period_seconds: float
-) -> "tuple[np.ndarray, np.ndarray]":
-    """(QP x period traffic matrix, qp index array) for one node's traces."""
-    qp_index = {qp: i for i, qp in enumerate(qp_ids)}
-    num_periods = (
-        int(np.floor(traces.timestamp.max() / period_seconds)) + 1
-        if len(traces)
-        else 1
+def node_qp_rows(
+    hypervisor: Hypervisor, traced_qps: np.ndarray
+) -> np.ndarray:
+    """Index of each traced IO's QP in the node's ascending ``qp_ids``.
+
+    One ``searchsorted`` over the whole trace; a QP the node does not
+    host raises (the traces and the hypervisor disagree).
+    """
+    qp_ids = np.asarray(hypervisor.qp_ids, dtype=np.int64)
+    rows = np.searchsorted(qp_ids, traced_qps)
+    known = rows < qp_ids.size
+    known[known] = qp_ids[rows[known]] == traced_qps[known]
+    if not known.all():
+        stray = int(traced_qps[np.argmin(known)])
+        raise SimulationError(
+            f"qp {stray} is not attached to node {hypervisor.node_id}"
+        )
+    return rows
+
+
+def static_wt_rows(hypervisor: Hypervisor) -> np.ndarray:
+    """Local WT index hosting each of the node's QPs (``qp_ids`` order)."""
+    wt_index = {wt: i for i, wt in enumerate(hypervisor.worker_ids)}
+    return np.array(
+        [wt_index[hypervisor.wt_of(qp)] for qp in hypervisor.qp_ids],
+        dtype=np.int64,
     )
-    matrix = np.zeros((len(qp_ids), num_periods))
+
+
+def _qp_period_matrix(
+    traces: TraceDataset, hypervisor: Hypervisor, period_seconds: float
+) -> np.ndarray:
+    """(QP x period) traffic matrix of one node's traces.
+
+    Rows follow ``hypervisor.qp_ids``; IOs accumulate in trace order.
+    """
+    num_periods = int(np.floor(traces.timestamp.max() / period_seconds)) + 1
+    matrix = np.zeros((len(hypervisor.qp_ids), num_periods))
     periods = np.floor(traces.timestamp / period_seconds).astype(np.int64)
-    rows = np.array([qp_index[int(qp)] for qp in traces.qp_id])
+    rows = node_qp_rows(hypervisor, traces.qp_id)
     np.add.at(matrix, (rows, periods), traces.size_bytes.astype(float))
-    return matrix, periods
+    return matrix
+
+
+def _wt_period_matrix(
+    traces: TraceDataset, hypervisor: Hypervisor, period_seconds: float
+) -> np.ndarray:
+    """(WT x period) load under the node's current (static) binding.
+
+    One ``np.add.at`` over QPs in QP order, so every cell is the same
+    float sum, in the same order, as adding the QP rows one by one.
+    """
+    matrix = _qp_period_matrix(traces, hypervisor, period_seconds)
+    loads = np.zeros((hypervisor.num_workers, matrix.shape[1]))
+    np.add.at(loads, static_wt_rows(hypervisor), matrix)
+    return loads
 
 
 def simulate_rebinding(
@@ -282,7 +322,17 @@ def simulate_rebinding(
 
     Every ``period_seconds``, if the hottest WT carries more than
     ``trigger_ratio`` times the coldest WT's traffic, the two WTs swap
-    their QP sets (the FinNVMe/LPNS-style rebinding the paper evaluates).
+    their QP sets (the FinNVMe/LPNS-style rebinding the paper evaluates;
+    the rule is :func:`~repro.balance.policies.wt_swap_decision`).
+
+    A swap exchanges two WTs' whole QP sets, so at every period WT ``w``
+    carries the static load of some WT ``perm[w]``: the replay builds
+    the static (WT x period) load matrix once and tracks only that
+    permutation.  Periods with no traffic add nothing and never fire a
+    swap, so the loop visits only the non-empty ones; ties between
+    equally loaded WTs go to the first index, as ``argmax``/``argmin``
+    break them.  The outcome is bit-identical to re-summing every
+    period's loads from the live binding.
 
     Returns None when the node has no traced IOs.  Note the paper's prose
     defines gain as before/after but reads "gain of 1%" as a large
@@ -294,47 +344,38 @@ def simulate_rebinding(
     )
     if len(node_traces) == 0:
         return None
-    qp_ids = hypervisor.qp_ids
-    matrix, __ = _qp_period_matrix(node_traces, qp_ids, config.period_seconds)
-    num_periods = matrix.shape[1]
-    workers = hypervisor.worker_ids
-    wt_index = {wt: i for i, wt in enumerate(workers)}
-
-    # binding[q] = worker index currently hosting QP q.
-    binding = np.array(
-        [wt_index[hypervisor.wt_of(qp)] for qp in qp_ids], dtype=np.int64
+    static = _wt_period_matrix(
+        node_traces, hypervisor, config.period_seconds
     )
-    static_binding = binding.copy()
-    num_wts = len(workers)
+    num_wts, num_periods = static.shape
+    static_totals = np.cumsum(static, axis=1)[:, -1]
 
-    static_totals = np.zeros(num_wts)
-    dynamic_totals = np.zeros(num_wts)
+    ratio = config.trigger_ratio
+    perm = list(range(num_wts))  # perm[w] = static WT whose QPs w hosts
+    dynamic_totals = [0.0] * num_wts
     swaps = 0
-    for period in range(num_periods):
-        loads = np.zeros(num_wts)
-        np.add.at(loads, binding, matrix[:, period])
-        dynamic_totals += loads
-        static_loads = np.zeros(num_wts)
-        np.add.at(static_loads, static_binding, matrix[:, period])
-        static_totals += static_loads
-        decision = wt_swap_decision(loads, config.trigger_ratio)
-        if decision is not None:
-            hot, cold = decision
+    busy = np.flatnonzero(static.any(axis=0))
+    for column in static[:, busy].T.tolist():
+        loads = [column[group] for group in perm]
+        for wt in range(num_wts):
+            dynamic_totals[wt] += loads[wt]
+        hot = loads.index(max(loads))
+        cold = loads.index(min(loads))
+        if loads[hot] > ratio * loads[cold]:
             swaps += 1
-            hot_qps = binding == hot
-            cold_qps = binding == cold
-            binding[hot_qps] = cold
-            binding[cold_qps] = hot
+            perm[hot], perm[cold] = perm[cold], perm[hot]
 
     cov_before = normalized_cov(static_totals) if static_totals.sum() else 0.0
-    cov_after = normalized_cov(dynamic_totals) if dynamic_totals.sum() else 0.0
+    cov_after = (
+        normalized_cov(dynamic_totals) if any(dynamic_totals) else 0.0
+    )
     if cov_before == 0.0:
         gain = 1.0
     else:
         gain = cov_after / cov_before
     return RebindingOutcome(
         node_id=hypervisor.node_id,
-        rebinding_ratio=swaps / num_periods if num_periods else 0.0,
+        rebinding_ratio=swaps / num_periods,
         rebinding_gain=gain,
         cov_before=cov_before,
         cov_after=cov_after,
@@ -358,13 +399,7 @@ def hottest_wt_series(
     )
     if len(node_traces) == 0:
         return np.zeros(1), 0.0
-    qp_ids = hypervisor.qp_ids
-    matrix, __ = _qp_period_matrix(node_traces, qp_ids, period_seconds)
-    workers = hypervisor.worker_ids
-    wt_index = {wt: i for i, wt in enumerate(workers)}
-    wt_series = np.zeros((len(workers), matrix.shape[1]))
-    for row, qp in enumerate(qp_ids):
-        wt_series[wt_index[hypervisor.wt_of(qp)]] += matrix[row]
+    wt_series = _wt_period_matrix(node_traces, hypervisor, period_seconds)
     hottest = int(np.argmax(wt_series.sum(axis=1)))
     series = wt_series[hottest]
     return series, p2a(series) if series.sum() else 0.0

@@ -32,9 +32,10 @@ changing any output: results are seed-stable regardless of worker count.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -983,11 +984,22 @@ class EBSSimulator:
 
     # -- the full run --------------------------------------------------------
 
-    def run(self, workers: int = 1) -> SimulationResult:
+    def run(
+        self,
+        workers: int = 1,
+        traffic: "Optional[Sequence[VdTraffic]]" = None,
+    ) -> SimulationResult:
         """Execute the simulation and build all three datasets.
 
         ``workers > 1`` fans the per-VD trace generation (pass 2) out over
         a process pool; outputs are identical for any worker count.
+
+        ``traffic`` reuses the offered load of an earlier run of the same
+        fleet and horizon (a list or a streamed view) instead of
+        generating it.  Redundancy, read policy and fault plan do not
+        enter traffic generation, the RNG streams are label-keyed, and
+        no pass reads state the run could have changed, so the result is
+        identical to one that generates its own traffic.
         """
         fleet = self.fleet
         cfg = self.config
@@ -997,11 +1009,14 @@ class EBSSimulator:
 
         hypervisors = HypervisorSet(fleet)
         storage = StorageCluster(fleet, redundancy=self._redundancy)
-        generator = WorkloadGenerator(
-            fleet, t, self._rngs, diurnal_amplitude=cfg.diurnal_amplitude
-        )
-        with telemetry.span("sim.workload", dc=dc, vds=len(fleet.vds)):
-            traffic = generator.generate_all()
+        if traffic is None:
+            generator = WorkloadGenerator(
+                fleet, t, self._rngs, diurnal_amplitude=cfg.diurnal_amplitude
+            )
+            with telemetry.span("sim.workload", dc=dc, vds=len(fleet.vds)):
+                traffic = generator.generate_all()
+        else:
+            self._check_traffic(traffic)
 
         qp_to_wt, seg_to_bs = self.bindings(hypervisors, storage)
         if self._redundancy is not None:
@@ -1045,6 +1060,20 @@ class EBSSimulator:
             bs_load_bps=bs_load,
             faults=faults,
         )
+
+    def _check_traffic(self, traffic: "Sequence[VdTraffic]") -> None:
+        """Reject reused traffic that cannot belong to this fleet/horizon."""
+        num_vds = len(self.fleet.vds)
+        if len(traffic) != num_vds:
+            raise ConfigError(
+                f"traffic covers {len(traffic)} VDs, the fleet has {num_vds}"
+            )
+        horizon = self.config.duration_seconds
+        if num_vds and traffic[0].read_bytes.size != horizon:
+            raise ConfigError(
+                f"traffic spans {traffic[0].read_bytes.size} s, the run "
+                f"{horizon} s"
+            )
 
     def _finalize_faults(
         self,
@@ -1276,7 +1305,9 @@ class EBSSimulator:
         ).astype(np.int64)
 
         hot_fraction = vd_traffic.hot_fraction_series[seconds]
-        offsets = vd_traffic.lba_model.draw_offsets(
+        # Draw from a copy: the model's cursors advance as it draws, and
+        # the traffic must stay reusable by later runs.
+        offsets = copy.copy(vd_traffic.lba_model).draw_offsets(
             rng, is_write, hot_fraction
         )
 

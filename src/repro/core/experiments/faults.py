@@ -19,13 +19,11 @@ from repro.balancer.interbs import (
     InterBsBalancer,
     segment_period_matrix,
 )
-from repro.cluster.simulator import EBSSimulator
 from repro.cluster.storage import StorageCluster
 from repro.core.experiments import experiment
 from repro.core.report import ExperimentResult
 from repro.faults.generate import PlanShape, random_fault_plan
 from repro.faults.plan import RedirectPolicy
-from repro.util.rng import RngFactory
 
 
 def _worst_inflation(outcome) -> float:
@@ -44,11 +42,12 @@ def extra_faults_sweep(study) -> ExperimentResult:
 
     The same event schedule (crashes, stalls, degrade windows) is applied
     once per redirect policy, so the redirect-vs-queue columns are an
-    apples-to-apples comparison on identical failure timing.  The DCs
+    apples-to-apples comparison on identical failure timing.  Each run
+    goes through :meth:`Study.resimulate`: the study's redundancy
+    settings and the DC's already generated traffic.  The DCs
     differ in skew mix (Table 3), which is what makes this a skew x
     failure sensitivity sweep.
     """
-    sim_config = study.config.simulation_config()
     rows = []
     for result in study.results:
         fleet = result.fleet
@@ -62,13 +61,7 @@ def extra_faults_sweep(study) -> ExperimentResult:
                 policy=policy,
                 label=f"extra_faults/dc{dc_id}",
             )
-            sim = EBSSimulator(
-                fleet,
-                sim_config,
-                RngFactory(study.config.seed),
-                fault_plan=plan,
-            )
-            outcome = sim.run().faults
+            outcome = study.resimulate(result, fault_plan=plan).faults
             acct = outcome.accounting
             delivered_pct = (
                 100.0 * acct.delivered_storage_ios / acct.offered_storage_ios

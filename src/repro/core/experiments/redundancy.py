@@ -10,12 +10,9 @@ crashes by failing over instead of queueing.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.cluster.redundancy import RedundancyConfig
-from repro.cluster.simulator import EBSSimulator
 from repro.core.experiments import experiment
 from repro.core.report import ExperimentResult
 from repro.faults.plan import (
@@ -25,7 +22,6 @@ from repro.faults.plan import (
     RedirectPolicy,
 )
 from repro.stats.skewness import normalized_cov
-from repro.util.rng import RngFactory
 
 #: The redundancy ladder both experiments climb: single-copy baseline,
 #: the paper-typical 3-way replication ladder, and a (4, 2) erasure
@@ -40,22 +36,6 @@ _LADDER = (
 
 def _fits(spec: str, num_block_servers: int) -> bool:
     return RedundancyConfig.parse(spec).width <= num_block_servers
-
-
-def _resimulate(study, fleet, spec, policy, fault_plan=None):
-    """One DC re-simulated under a redundancy level (same seed/knobs)."""
-    sim_config = replace(
-        study.config.simulation_config(),
-        redundancy=spec,
-        read_policy=policy,
-    )
-    sim = EBSSimulator(
-        fleet,
-        sim_config,
-        RngFactory(study.config.seed),
-        fault_plan=fault_plan,
-    )
-    return sim.run()
 
 
 def _p99_latency_us(traces) -> float:
@@ -79,8 +59,10 @@ def redundancy_cov(study) -> ExperimentResult:
     """Load CoV / P99 latency across the redundancy ladder, per DC.
 
     Each DC (skew regime) is re-simulated per redundancy level with the
-    same seed.  ``r=1`` under the primary policy is the untouched
-    single-copy baseline — bit-identical to the pinned golden run.
+    same seed through :meth:`Study.resimulate`, which reuses the DC's
+    offered traffic.  ``r=1`` under the primary policy is the untouched
+    single-copy baseline: on a fault-free single-copy study it is the
+    study's own result, not a re-run.
     Spreading copies (and steering reads) flattens the per-BS load
     distribution, so the inter-BS CoV must drop monotonically along the
     replication ladder; the write fan-out column shows what that costs
@@ -102,7 +84,9 @@ def redundancy_cov(study) -> ExperimentResult:
                      float("nan"), "skipped: too few BS"]
                 )
                 continue
-            out = _resimulate(study, fleet, spec, policy)
+            out = study.resimulate(
+                result, redundancy=spec, read_policy=policy
+            )
             totals = out.bs_load_bps.sum(axis=1)
             cov = normalized_cov(totals)
             if spec.startswith("r="):
@@ -182,7 +166,9 @@ def redundancy_faults(study) -> ExperimentResult:
                  float("nan"), "skipped: too few BS"]
             )
             continue
-        out = _resimulate(study, fleet, spec, policy, fault_plan=plan)
+        out = study.resimulate(
+            result, redundancy=spec, read_policy=policy, fault_plan=plan
+        )
         acct = out.faults.accounting
         offered = max(acct.offered_storage_ios, 1.0)
         storage_residual, compute_residual = (

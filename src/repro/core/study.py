@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.cluster.simulator import (
@@ -248,6 +249,47 @@ class Study:
             if result.fleet.config.dc_id == dc_id:
                 return result
         raise ConfigError(f"no data center with id {dc_id}")
+
+    def resimulate(
+        self,
+        result: SimulationResult,
+        *,
+        redundancy: "Optional[str]" = None,
+        read_policy: "Optional[str]" = None,
+        fault_plan: "Optional[FaultPlan]" = None,
+    ) -> SimulationResult:
+        """One DC of this study simulated again under other settings.
+
+        ``redundancy`` and ``read_policy`` default to the study's own;
+        ``fault_plan`` is the plan for this run (None is fault-free).
+        The run reuses ``result``'s fleet and offered traffic instead of
+        generating them again: none of these settings enters traffic
+        generation, so the outcome equals a fresh
+        :class:`EBSSimulator` run with the same seed.  When the settings
+        are the ones ``result`` was built with (fault-free, single-copy
+        under the primary policy), ``result`` itself is returned.
+        """
+        own = self.config.simulation_config()
+        sim_config = replace(
+            own,
+            redundancy=redundancy or own.redundancy,
+            read_policy=read_policy or own.read_policy,
+        )
+        if (
+            (fault_plan is None or fault_plan.is_empty)
+            and self._fault_plan_for(result.fleet.config.dc_id) is None
+            and sim_config.redundancy_config() is None
+            and own.redundancy_config() is None
+            and any(mine is result for mine in self.results)
+        ):
+            return result
+        simulator = EBSSimulator(
+            result.fleet,
+            sim_config,
+            self.rngs,
+            fault_plan=fault_plan,
+        )
+        return simulator.run(traffic=result.traffic)
 
     def run(self, experiment_id: str) -> ExperimentResult:
         """Execute one experiment by its table/figure id (cached)."""

@@ -29,6 +29,7 @@ from repro.stats.skewness import (
     ccr_curve,
     cov,
     normalized_cov,
+    normalized_cov_rows,
     p2a,
     top_share,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "ccr_curve",
     "cov",
     "normalized_cov",
+    "normalized_cov_rows",
     "p2a",
     "top_share",
 ]

@@ -115,3 +115,29 @@ def normalized_cov(values: Sequence[float]) -> float:
         return 0.0
     bound = math.sqrt(arr.size - 1)
     return cov(arr) / bound
+
+
+def normalized_cov_rows(matrix) -> np.ndarray:
+    """:func:`normalized_cov` of every row of a 2-D array, in one call.
+
+    Bit-for-bit equal to ``[normalized_cov(row) for row in matrix]``:
+    each row's mean and standard deviation come from the same numpy
+    reductions over a contiguous row.  All-zero rows and single-column
+    input give 0.0; a matrix with no rows gives an empty array.
+    """
+    arr = np.ascontiguousarray(matrix, dtype=float)
+    if arr.ndim != 2:
+        raise ConfigError(f"expected a 2-D array, got shape {arr.shape}")
+    if arr.shape[1] == 0:
+        raise ConfigError("expected non-empty rows")
+    if np.any(arr < 0):
+        raise ConfigError("traffic values must be non-negative")
+    out = np.zeros(arr.shape[0])
+    n = arr.shape[1]
+    if n == 1 or arr.shape[0] == 0:
+        return out
+    mean = arr.mean(axis=1)
+    std = arr.std(axis=1)
+    live = mean != 0.0
+    out[live] = std[live] / mean[live] / math.sqrt(n - 1)
+    return out

@@ -1,0 +1,181 @@
+"""``Study.resimulate``: experiment re-runs that reuse the study's traffic."""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.cluster.simulator import EBSSimulator
+from repro.core import Study
+from repro.engine.digest import result_digest
+from repro.faults.generate import PlanShape, random_fault_plan
+from repro.faults.plan import (
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    RedirectPolicy,
+)
+from repro.util.errors import ConfigError
+from repro.util.rng import RngFactory
+from tests.core.test_study import tiny_config
+
+
+def _fresh(study, result, fault_plan=None, **settings):
+    """The same DC simulated from scratch, generating its own traffic."""
+    config = replace(study.config.simulation_config(), **settings)
+    simulator = EBSSimulator(
+        result.fleet, config, RngFactory(study.config.seed),
+        fault_plan=fault_plan,
+    )
+    return simulator.run()
+
+
+def _plan(study, result):
+    shape = PlanShape.of_fleet(result.fleet, study.config.duration_seconds)
+    return random_fault_plan(
+        study.config.seed, shape, num_events=6,
+        policy=RedirectPolicy.QUEUE, label="resimulate-test",
+    )
+
+
+def _traffic_fingerprint(traffic) -> str:
+    """Hash of every array and every LBA-model field of the traffic."""
+    h = hashlib.sha256()
+    for vd in traffic:
+        for name, value in sorted(vars(vd).items()):
+            if isinstance(value, np.ndarray):
+                h.update(name.encode() + value.tobytes())
+            elif name == "lba_model":
+                h.update(repr(sorted(vars(value).items())).encode())
+            else:
+                h.update(f"{name}={value!r}".encode())
+    return h.hexdigest()
+
+
+@pytest.fixture
+def count_runs(monkeypatch):
+    calls = []
+    original = EBSSimulator.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("traffic") is not None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EBSSimulator, "run", counted)
+    return calls
+
+
+@pytest.fixture(
+    scope="module", params=[None, 2], ids=["monolithic", "chunked"]
+)
+def study(request):
+    built = Study(tiny_config(), chunk_epochs=request.param).build()
+    yield built
+    built.cleanup()
+
+
+class TestOwnSettings:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {},
+            {"redundancy": "r=1"},
+            {"redundancy": "r=1", "read_policy": "primary"},
+        ],
+    )
+    def test_returns_the_study_result_without_a_run(
+        self, study, count_runs, settings
+    ):
+        for result in study.results:
+            assert study.resimulate(result, **settings) is result
+        assert count_runs == []
+
+    def test_a_faulted_study_reruns_fault_free(self):
+        crash = FaultEvent(
+            kind=FaultKind.BS_CRASH, start_s=40, end_s=80, target=0, dc=0
+        )
+        faulted = Study(
+            replace(tiny_config(), fault_plan=FaultPlan(events=(crash,)))
+        ).build()
+        result = faulted.results[0]
+        assert result.faults is not None
+        out = faulted.resimulate(result)
+        assert out is not result
+        assert out.faults is None
+        assert result_digest(out) == result_digest(_fresh(faulted, result))
+
+    def test_a_redundant_study_reruns_single_copy(self):
+        redundant = Study(
+            replace(
+                tiny_config(), redundancy="r=2", read_policy="least_loaded"
+            )
+        ).build()
+        result = redundant.results[0]
+        out = redundant.resimulate(
+            result, redundancy="r=1", read_policy="primary"
+        )
+        assert out is not result
+        fresh = _fresh(
+            redundant, result, redundancy="r=1", read_policy="primary"
+        )
+        assert result_digest(out) == result_digest(fresh)
+
+
+class TestOtherSettings:
+    def test_fault_plan_matches_a_fresh_run(self, study, count_runs):
+        for result in study.results:
+            plan = _plan(study, result)
+            out = study.resimulate(result, fault_plan=plan)
+            assert out.faults is not None
+            fresh = _fresh(study, result, fault_plan=plan)
+            assert result_digest(out) == result_digest(fresh)
+        # one reusing run per DC, one generating run per fresh reference
+        assert count_runs == [True, False] * len(study.results)
+
+    def test_redundancy_matches_a_fresh_run(self, study):
+        for result in study.results:
+            out = study.resimulate(
+                result, redundancy="r=3", read_policy="least_loaded"
+            )
+            fresh = _fresh(
+                study, result, redundancy="r=3", read_policy="least_loaded"
+            )
+            assert result_digest(out) == result_digest(fresh)
+
+    def test_reruns_leave_the_traffic_untouched(self, study):
+        result = study.results[0]
+        before = _traffic_fingerprint(result.traffic)
+        study.resimulate(result, fault_plan=_plan(study, result))
+        study.resimulate(
+            result, redundancy="r=2", read_policy="least_loaded"
+        )
+        assert _traffic_fingerprint(result.traffic) == before
+
+
+class TestTrafficChecks:
+    def test_wrong_vd_count_is_rejected(self, study):
+        result = study.results[0]
+        simulator = EBSSimulator(
+            result.fleet, study.config.simulation_config(), study.rngs
+        )
+        with pytest.raises(ConfigError, match="VDs"):
+            simulator.run(traffic=list(result.traffic)[:-1])
+
+    def test_wrong_horizon_is_rejected(self, study):
+        result = study.results[0]
+        config = replace(
+            study.config.simulation_config(), duration_seconds=60
+        )
+        simulator = EBSSimulator(result.fleet, config, study.rngs)
+        with pytest.raises(ConfigError, match="spans"):
+            simulator.run(traffic=result.traffic)
+
+
+def test_run_all_leaves_every_result_unchanged():
+    study = Study(tiny_config()).build()
+    digests = [result_digest(result) for result in study.results]
+    traffic = [_traffic_fingerprint(r.traffic) for r in study.results]
+    study.run_all()
+    assert [result_digest(result) for result in study.results] == digests
+    assert [_traffic_fingerprint(r.traffic) for r in study.results] == traffic

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats import ccr, ccr_curve, cov, normalized_cov, p2a, top_share
+from repro.stats import (
+    ccr,
+    ccr_curve,
+    cov,
+    normalized_cov,
+    normalized_cov_rows,
+    p2a,
+    top_share,
+)
 from repro.util import ConfigError
 
 positive_traffic = st.lists(
@@ -135,3 +143,64 @@ class TestNormalizedCov:
     def test_bounded_in_unit_interval(self, values):
         value = normalized_cov(values)
         assert -1e-9 <= value <= 1.0 + 1e-9
+
+
+def _per_row(matrix):
+    return np.array([normalized_cov(row) for row in matrix])
+
+
+class TestNormalizedCovRows:
+    @pytest.mark.parametrize(
+        "width", [1, 2, 3, 4, 7, 8, 9, 16, 17, 64, 127, 128, 129, 300]
+    )
+    def test_bit_identical_to_per_row_calls(self, width):
+        rng = np.random.default_rng(width)
+        matrix = rng.lognormal(0.0, 3.0, size=(25, width))
+        matrix[rng.random(matrix.shape) < 0.4] = 0.0
+        matrix[0] = 0.0  # an all-zero row
+        matrix[1] = 7.0  # an even row
+        got = normalized_cov_rows(matrix)
+        assert got.tobytes() == _per_row(matrix).tobytes()
+
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=1e12),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        )
+    )
+    def test_bit_identical_property(self, rows):
+        matrix = np.array(rows)
+        assert (
+            normalized_cov_rows(matrix).tobytes()
+            == _per_row(matrix).tobytes()
+        )
+
+    def test_non_contiguous_input(self):
+        matrix = np.arange(48.0).reshape(6, 8)[:, ::2]
+        assert (
+            normalized_cov_rows(matrix).tobytes()
+            == _per_row(matrix).tobytes()
+        )
+
+    def test_single_column_and_zero_rows(self):
+        assert normalized_cov_rows([[3.0], [0.0]]).tolist() == [0.0, 0.0]
+        assert normalized_cov_rows([[0.0, 0.0, 0.0]]).tolist() == [0.0]
+        assert normalized_cov_rows(np.zeros((0, 4))).shape == (0,)
+
+    def test_rejects_negative_values(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            normalized_cov_rows([[1.0, -1.0]])
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0, 2.0], [[[1.0]]], 5.0, [[]]]
+    )
+    def test_rejects_non_2d_or_empty_rows(self, bad):
+        with pytest.raises(ConfigError):
+            normalized_cov_rows(bad)
