@@ -16,11 +16,18 @@ Guarantees pinned by the tests:
   ``min_count`` (so whenever the error bound permits a clean cut, the
   summary's candidates are a superset of the true top-K), and each
   entry brackets the truth: ``count - error <= true <= count``.
+
+Space-Saving evicts in O(log K): a lazily invalidated min-heap of
+``(count, key)`` pairs sits beside the counts, so an eviction in a
+churning tail costs a few heap operations instead of a scan of all K
+monitored entries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import heapq
+import math
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +36,16 @@ from repro.util.errors import ConfigError
 #: Fixed 64-bit odd multipliers are drawn from this seed so sketch
 #: contents are reproducible run to run.
 _HASH_SEED = 0x5EED
+
+
+def _check_batch(keys: np.ndarray, weights: np.ndarray) -> None:
+    """Reject a batch unless its weights match the keys and are finite, >= 0."""
+    if keys.shape != weights.shape:
+        raise ConfigError("keys and weights must have the same shape")
+    if weights.size and not (
+        np.isfinite(weights).all() and (weights >= 0).all()
+    ):
+        raise ConfigError("weights must be finite and >= 0")
 
 
 class CountMinSketch:
@@ -61,9 +78,8 @@ class CountMinSketch:
         return (mixed % np.uint64(self.width)).astype(np.int64)
 
     def update_many(self, keys: np.ndarray, weights: np.ndarray) -> None:
-        """Add ``weights`` (non-negative) to the buckets of ``keys``."""
-        if keys.shape != weights.shape:
-            raise ConfigError("keys and weights must have the same shape")
+        """Add ``weights`` (finite, non-negative) to the buckets of ``keys``."""
+        _check_batch(keys, weights)
         if keys.size == 0:
             return
         rows = self._rows(keys)
@@ -102,6 +118,18 @@ class SpaceSaving:
     weight above ``min_count`` is monitored) carry over unchanged to
     weighted updates.
 
+    Eviction costs O(log K) amortised.  ``_heap`` holds ``(count, key)``
+    pairs: every admission and increment pushes the key's new pair and
+    leaves its old one behind.  A pair is stale when ``count`` is no
+    longer the key's monitored count; stale pairs are popped only when
+    they surface at the top, and the live minimum is then replaced by
+    the admitted key's pair in one ``heapreplace``.  Tuple order is the
+    tie-break: smallest count, then smallest key, so the victim does
+    not depend on dict insertion history and replays are deterministic.
+    When pushes outnumber evictions (hot keys re-hit) the heap is
+    rebuilt from the counts once it holds more than ``4 * capacity +
+    64`` pairs, so memory stays O(K).
+
     An optional :class:`CountMinSketch` backs the summary: it absorbs
     every update too, so evicted keys keep a queryable (over)estimate
     and the reported top-K can carry a second, independent bound.
@@ -116,6 +144,7 @@ class SpaceSaving:
         self.sketch = sketch
         self._counts: Dict[int, float] = {}
         self._errors: Dict[int, float] = {}
+        self._heap: List[Tuple[float, int]] = []
         self.total_weight = 0.0
 
     def __len__(self) -> int:
@@ -127,35 +156,28 @@ class SpaceSaving:
     @property
     def min_count(self) -> float:
         """The eviction threshold: 0.0 while the summary has free slots."""
-        if len(self._counts) < self.capacity:
+        counts = self._counts
+        if len(counts) < self.capacity:
             return 0.0
-        return min(self._counts.values())
+        heap = self._heap
+        while counts.get(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)
+        return heap[0][0]
 
     def update(self, key: int, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ConfigError(f"weight must be >= 0, got {weight}")
-        self.total_weight += weight
-        if key in self._counts:
-            self._counts[key] += weight
-            return
-        if len(self._counts) < self.capacity:
-            self._counts[key] = weight
-            self._errors[key] = 0.0
-            return
-        # Evict the smallest count; break ties on the smallest key so
-        # replays are deterministic regardless of dict insertion history.
-        victim = min(self._counts, key=lambda k: (self._counts[k], k))
-        floor = self._counts.pop(victim)
-        self._errors.pop(victim)
-        self._counts[key] = floor + weight
-        self._errors[key] = floor
+        if not 0 <= weight < math.inf:
+            raise ConfigError(f"weight must be finite and >= 0, got {weight}")
+        self._fold((key,), (weight,))
 
     def update_many(self, keys: np.ndarray, weights: np.ndarray) -> None:
         """Batch update: pre-aggregates duplicate keys, then folds them in.
 
-        ``np.unique`` ordering makes the fold deterministic; the sketch
-        (when attached) absorbs the same aggregated increments.
+        The whole batch is validated first, so a rejected batch leaves
+        the summary and its sketch untouched.  ``np.unique`` ordering
+        makes the fold deterministic; the sketch (when attached) absorbs
+        the same aggregated increments.
         """
+        _check_batch(keys, weights)
         if keys.size == 0:
             return
         uniq, inverse = np.unique(keys, return_inverse=True)
@@ -163,8 +185,45 @@ class SpaceSaving:
         np.add.at(sums, inverse, weights)
         if self.sketch is not None:
             self.sketch.update_many(uniq, sums)
-        for key, weight in zip(uniq.tolist(), sums.tolist()):
-            self.update(int(key), float(weight))
+        self._fold(uniq.tolist(), sums.tolist())
+
+    def _fold(self, keys: Sequence[int], weights: Sequence[float]) -> None:
+        """Fold validated ``(key, weight)`` increments in, in order."""
+        counts = self._counts
+        errors = self._errors
+        heap = self._heap
+        capacity = self.capacity
+        limit = 4 * capacity + 64
+        push = heapq.heappush
+        pop = heapq.heappop
+        replace = heapq.heapreplace
+        total = self.total_weight
+        for key, weight in zip(keys, weights):
+            total += weight
+            count = counts.get(key)
+            if count is not None:
+                count += weight
+            elif len(counts) < capacity:
+                count = weight
+                errors[key] = 0.0
+            else:
+                # Evict the live minimum: stale pairs at the top go first.
+                floor, victim = heap[0]
+                while counts.get(victim) != floor:
+                    pop(heap)
+                    floor, victim = heap[0]
+                del counts[victim], errors[victim]
+                count = floor + weight
+                counts[key] = count
+                errors[key] = floor
+                replace(heap, (count, key))
+                continue
+            counts[key] = count
+            push(heap, (count, key))
+            if len(heap) > limit:
+                heap[:] = [(c, k) for k, c in counts.items()]
+                heapq.heapify(heap)
+        self.total_weight = total
 
     def topk(self, k: "int | None" = None) -> "List[Tuple[int, float, float]]":
         """``(key, count, error)`` triples, heaviest first (ties: key asc)."""

@@ -131,3 +131,82 @@ class TestSpaceSaving:
         summary = SpaceSaving(capacity=2)
         with pytest.raises(ConfigError):
             summary.update(1, -1.0)
+
+    def test_rejects_non_finite_weight(self):
+        summary = SpaceSaving(capacity=2)
+        summary.update(1, 3.0)
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                summary.update(2, weight)
+        assert summary.topk() == [(1, 3.0, 0.0)]
+        assert summary.total_weight == 3.0
+
+    def test_bad_batch_leaves_summary_and_sketch_unchanged(self):
+        keys, weights, _ = zipf_stream(num_updates=500)
+        summary = SpaceSaving(capacity=8, sketch=CountMinSketch(width=64))
+        summary.update_many(keys, weights)
+        before = (
+            summary.topk(),
+            dict(summary._errors),
+            summary.total_weight,
+            summary.sketch._table.copy(),
+            summary.sketch.total_weight,
+        )
+        bad_batches = (
+            (keys[:5], weights[:4]),  # shape mismatch
+            (keys[:3], np.array([1.0, np.nan, 2.0])),
+            (keys[:3], np.array([1.0, np.inf, 2.0])),
+            (keys[:3], np.array([1.0, -0.5, 2.0])),
+        )
+        for bad_keys, bad_weights in bad_batches:
+            with pytest.raises(ConfigError):
+                summary.update_many(bad_keys, bad_weights)
+            assert summary.topk() == before[0]
+            assert summary._errors == before[1]
+            assert summary.total_weight == before[2]
+            assert np.array_equal(summary.sketch._table, before[3])
+            assert summary.sketch.total_weight == before[4]
+
+    def test_min_count_is_zero_while_slots_are_free(self):
+        summary = SpaceSaving(capacity=3)
+        summary.update(1, 5.0)
+        summary.update(2, 7.0)
+        assert summary.min_count == 0.0
+        summary.update(3, 6.0)
+        assert summary.min_count == 5.0
+        summary.update(1, 4.0)  # key 1 now 9.0; its 5.0 pair is stale
+        assert summary.min_count == 6.0
+
+    def test_heap_stays_bounded_under_repeated_hits(self):
+        """Increments to monitored keys push pairs without evicting;
+        compaction keeps the heap O(capacity) anyway."""
+        capacity = 16
+        bound = 4 * capacity + 64
+        summary = SpaceSaving(capacity=capacity)
+        summary.update_many(
+            np.arange(capacity, dtype=np.int64), np.ones(capacity)
+        )
+        longest = 0
+        for step in range(200_000):
+            summary.update(step % capacity, 1.0)
+            longest = max(longest, len(summary._heap))
+        assert len(summary) == capacity
+        assert longest <= bound
+        assert len(summary._heap) <= bound
+        assert summary.min_count == 1.0 + 200_000 / capacity
+
+
+class TestCountMinRejections:
+    def test_bad_batch_leaves_table_unchanged(self):
+        sketch = CountMinSketch(width=64)
+        keys = np.arange(4, dtype=np.int64)
+        sketch.update_many(keys, np.ones(4))
+        table = sketch._table.copy()
+        for weights in (
+            np.array([1.0, -1.0, 1.0, 1.0]),
+            np.array([1.0, np.nan, 1.0, 1.0]),
+        ):
+            with pytest.raises(ConfigError):
+                sketch.update_many(keys, weights)
+        assert np.array_equal(sketch._table, table)
+        assert sketch.total_weight == 4.0
