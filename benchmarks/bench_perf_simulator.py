@@ -1,8 +1,9 @@
 """Perf benchmark: vectorized pass 1 vs the scalar reference (§ simulator).
 
-Times :meth:`EBSSimulator.run_pass1` with ``fast=False`` (the audited
-per-VD/per-QP reference loops) against ``fast=True`` (the array path) on
-a fleet-scale workload, verifies the outputs are **bit-identical** (load
+Times ``reference_pass1`` (the audited per-VD/per-QP loops, kept as the
+test oracle in ``tests/oracles/pass1.py``) against
+:meth:`EBSSimulator.run_pass1` (the array path) on a fleet-scale
+workload, verifies the outputs are **bit-identical** (load
 grids, metric-table columns, and column dtypes), and records the numbers
 in ``BENCH_simulator.json``.
 
@@ -18,6 +19,8 @@ or as a pytest smoke check (tiny scale, parity only)::
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +30,12 @@ from repro.obs.runtime import (
     set_telemetry,
 )
 from repro.obs.spans import Tracer, stage_summary
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.oracles.pass1 import reference_pass1  # noqa: E402
 
 try:
     from benchmarks.perf_common import (
@@ -67,12 +76,12 @@ def run_pass1_benchmark(
 
     with tracer.span("bench.pass1.reference", scale=scale_name):
         ref_seconds, ref = best_of(
-            lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=False),
+            lambda: reference_pass1(sim, traffic, qp_to_wt, seg_to_bs),
             max(1, repeats - 1),
         )
     with tracer.span("bench.pass1.fast", scale=scale_name):
         fast_seconds, fast = best_of(
-            lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=True),
+            lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs),
             repeats,
         )
 
@@ -83,9 +92,7 @@ def run_pass1_benchmark(
     try:
         with tracer.span("bench.pass1.fast_telemetry", scale=scale_name):
             enabled_seconds, _ = best_of(
-                lambda: sim.run_pass1(
-                    traffic, qp_to_wt, seg_to_bs, fast=True
-                ),
+                lambda: sim.run_pass1(traffic, qp_to_wt, seg_to_bs),
                 repeats,
             )
     finally:

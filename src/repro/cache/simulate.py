@@ -32,9 +32,9 @@ def replay_trace(cache: Cache, traces: TraceDataset) -> float:
     Multi-page IOs touch only their first page (the paper traces one offset
     per IO); the simplification affects all policies identically.
 
-    This is the scalar **reference** implementation; the array-based
-    equivalent lives in :mod:`repro.cache.fastreplay` and is pinned
-    bit-identical to this path by tests.
+    This is the scalar implementation: :mod:`repro.cache.fastreplay`
+    falls back to it for cache types without an array-based replay, and
+    tests pin the array-based replays bit-identical to it.
     """
     if len(traces) == 0:
         return 0.0
@@ -52,18 +52,14 @@ def simulate_vd_cache(
     vd_id: int,
     block_bytes: int,
     capacity_bytes: int,
-    fast: bool = True,
 ) -> "Dict[str, float] | None":
     """Hit ratios of FIFO, LRU, and the frozen cache for one VD.
 
     All three caches get the same capacity (the block size, in pages); the
     frozen cache is anchored at the hottest block.  Returns None when the
-    VD has no traced IOs.  ``fast=False`` pins the scalar reference replay
-    (the default fast path produces identical ratios).
+    VD has no traced IOs.
     """
-    out = simulate_vd_caches(
-        traces, vd_id, (block_bytes,), capacity_bytes, fast=fast
-    )
+    out = simulate_vd_caches(traces, vd_id, (block_bytes,), capacity_bytes)
     return None if out is None else out[block_bytes]
 
 
@@ -72,23 +68,20 @@ def simulate_vd_caches(
     vd_id: int,
     block_bytes_list: Sequence[int],
     capacity_bytes: int,
-    fast: bool = True,
 ) -> "Dict[int, Dict[str, float]] | None":
     """:func:`simulate_vd_cache` for several block sizes at once.
 
     Slicing the fleet-sized dataset down to one VD and preparing its page
     stream (time sort, duplicate compression, previous-occurrence index)
     both cost more than a single replay — doing them once per VD instead
-    of once per (VD, block size, policy) is where the fast path's
-    fleet-scale speedup comes from.  Returns ``{block_bytes: {policy:
-    hit_ratio}}``, or None when the VD has no traced IOs.
+    of once per (VD, block size, policy) is where the array-based
+    replay's fleet-scale speedup comes from.  Returns ``{block_bytes:
+    {policy: hit_ratio}}``, or None when the VD has no traced IOs.
     """
     vd_traces = traces.for_vd(vd_id)
     if len(vd_traces) == 0:
         return None
-    prepared = (
-        prepare_pages(pages_in_time_order(vd_traces)) if fast else None
-    )
+    prepared = prepare_pages(pages_in_time_order(vd_traces))
     out: "Dict[int, Dict[str, float]]" = {}
     for block_bytes in block_bytes_list:
         block = hottest_block(
@@ -102,11 +95,5 @@ def simulate_vd_caches(
                 block.start_byte, block.block_bytes, PAGE_BYTES
             ),
         }
-        if fast:
-            out[block_bytes] = replay_many(caches, vd_traces, prepared)
-        else:
-            out[block_bytes] = {
-                name: replay_trace(cache, vd_traces)
-                for name, cache in caches.items()
-            }
+        out[block_bytes] = replay_many(caches, vd_traces, prepared)
     return out

@@ -168,15 +168,19 @@ def _config(args: argparse.Namespace) -> StudyConfig:
 def _study(args: argparse.Namespace) -> Study:
     config = _config(args)
     chunk_epochs, shard_dir, max_rss_mb = _streaming_options(args)
-    series_format = getattr(args, "series_format", None) or "raw"
     series_dtype = getattr(args, "series_dtype", None) or "float64"
     if chunk_epochs is not None:
         _LOG.info(
             "streaming engine on: chunk_epochs=%d shard_dir=%s "
-            "max_rss_mb=%s series=%s/%s (results identical to a "
+            "max_rss_mb=%s series=%s (results identical to a "
             "monolithic run at float64)",
-            chunk_epochs, shard_dir or "<temp>", max_rss_mb,
-            series_format, series_dtype,
+            chunk_epochs, shard_dir or "<temp>", max_rss_mb, series_dtype,
+        )
+    elif series_dtype != "float64":
+        raise ReproError(
+            f"--series-dtype {series_dtype} sets the shard store's series "
+            "dtype and needs the streaming engine; add --chunk-epochs N "
+            "(or --shard-dir/--max-rss-mb), or drop the flag"
         )
     if series_dtype == "float32":
         _LOG.warning(
@@ -188,7 +192,6 @@ def _study(args: argparse.Namespace) -> Study:
         chunk_epochs=chunk_epochs,
         shard_dir=shard_dir,
         max_rss_mb=max_rss_mb,
-        series_format=series_format,
         series_dtype=series_dtype,
     )
 
@@ -210,30 +213,12 @@ def _write_digest(study: Study, args: argparse.Namespace) -> None:
         "scale": args.scale,
         "seed": args.seed,
         "chunk_epochs": study.chunk_epochs,
-        "series_format": study.series_format,
         "series_dtype": study.series_dtype,
         "per_dc": per_dc,
         "combined": combined,
     }
     Path(args.digest).write_text(json.dumps(payload, indent=2) + "\n")
     _LOG.info("wrote result digest %s to %s", combined[:12], args.digest)
-
-
-def _results_output_path(args: argparse.Namespace) -> Optional[str]:
-    """Resolve ``-o/--output`` with the deprecated ``--json`` alias."""
-    output = getattr(args, "output", None)
-    legacy = getattr(args, "json", None)
-    if output and legacy:
-        raise ReproError(
-            "--json is a deprecated alias for -o/--output; pass only one"
-        )
-    if legacy:
-        _LOG.warning(
-            "--json FILE is deprecated; use -o/--output FILE "
-            "(same versioned payload)"
-        )
-        return legacy
-    return output
 
 
 # -- telemetry lifecycle -----------------------------------------------------
@@ -278,7 +263,6 @@ def _finish_telemetry(
             "experiment": getattr(args, "experiment", None),
             "fault_plan": getattr(args, "fault_plan", None),
             "chunk_epochs": getattr(args, "chunk_epochs", None),
-            "series_format": getattr(args, "series_format", None),
             "series_dtype": getattr(args, "series_dtype", None),
             "version": __version__,
             "peak_rss_bytes": peak_rss_bytes(),
@@ -313,7 +297,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    output = _results_output_path(args)
+    output = args.output
     telemetry = _start_telemetry(args)
     results: List[ExperimentResult] = []
     failure: "Optional[tuple[str, BaseException]]" = None
@@ -379,25 +363,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    if args.directory and args.output:
-        raise ReproError(
-            "pass the dataset directory once: either positionally "
-            "(deprecated) or via -o/--output"
-        )
-    directory = args.output or args.directory
-    if not directory:
-        raise ReproError("export-dataset needs -o/--output DIR")
-    if args.directory:
-        _LOG.warning(
-            "positional DIRECTORY is deprecated; use -o/--output DIR"
-        )
     telemetry = _start_telemetry(args)
     written = 0
     study: Optional[Study] = None
     try:
         study = _study(args)
         study.build(workers=args.workers)
-        out = Path(directory)
+        out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
         for result in study.results:
             dc = result.fleet.config.dc_id
@@ -1315,24 +1287,14 @@ def _add_streaming_flags(command: argparse.ArgumentParser) -> None:
         "default: a per-run temp dir, purged after the run)",
     )
     command.add_argument(
-        "--series-format",
-        choices=("raw", "npz"),
-        default="raw",
-        dest="series_format",
-        help="shard-store series format: 'raw' (one .npy block per "
-        "shard/batch, memory-mapped zero-copy reads; the default) or "
-        "'npz' (the legacy zip-framed format).  Digest-identical at "
-        "float64",
-    )
-    command.add_argument(
         "--series-dtype",
         choices=("float64", "float32"),
         default="float64",
         dest="series_dtype",
-        help="on-disk series dtype for raw stores; float32 halves shard "
-        "bytes but is lossy: results stay deterministic, digests differ "
-        "from float64 runs (re-pin any golden digest before relying on "
-        "them)",
+        help="on-disk series dtype of the shard store (streamed runs "
+        "only); float32 halves shard bytes but is lossy: results stay "
+        "deterministic, digests differ from float64 runs (re-pin any "
+        "golden digest before relying on them)",
     )
 
 
@@ -1375,12 +1337,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the results as a versioned JSON payload "
         "(result_schema_version; check with 'ebs-repro obs validate')",
-    )
-    run.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="deprecated alias for -o/--output",
     )
     run.add_argument(
         "--workers",
@@ -1721,16 +1677,10 @@ def build_parser() -> argparse.ArgumentParser:
         "export-dataset", help="simulate and write the datasets to disk"
     )
     export.add_argument(
-        "directory",
-        nargs="?",
-        default=None,
-        help="deprecated positional form of -o/--output",
-    )
-    export.add_argument(
         "-o",
         "--output",
         metavar="DIR",
-        default=None,
+        required=True,
         help="output directory for the exported datasets",
     )
     export.add_argument("--scale", choices=_SCALES, default="small")

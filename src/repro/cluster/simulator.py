@@ -15,15 +15,11 @@
 Rows below the recording thresholds are dropped, mirroring a production
 metric pipeline that does not emit all-zero aggregates.
 
-Two implementations of pass 1 (metric tables + load grids) exist:
-
-- the **reference path** iterates VDs and their QPs/segments in Python --
-  easy to audit, kept as ground truth;
-- the **fast path** (default) stacks the per-VD series into ``(entity,
-  second)`` weight matrices and emits rows with one mask per table.  The
-  fast path is *bit-identical* to the reference path (same multiplication
-  operands, same ``np.add.at`` accumulation order, same row order) and is
-  verified by an equivalence test.
+Pass 1 (metric tables + load grids) stacks the per-VD series into
+``(entity, second)`` weight matrices and emits rows with one mask per
+table.  It is *bit-identical* to the scalar per-VD/per-QP loops kept as
+the test oracle in ``tests/oracles/pass1.py`` (same multiplication
+operands, same accumulation order, same row order).
 
 Pass 2 (sampled traces) draws per-VD random streams from label-keyed child
 RNGs, so it can optionally fan out over a ``ProcessPoolExecutor`` without
@@ -98,10 +94,6 @@ class SimulationConfig:
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     wt_capacity_bps: float = 2.0 * GiB
     bs_capacity_bps: float = 4.0 * GiB
-    #: Use the vectorized pass-1 implementation (bit-identical to the
-    #: reference loop; see the module docstring).  Exposed so tests and
-    #: benchmarks can pin either path.
-    use_fast_path: bool = True
     #: Redundancy spec ("r=3" / "ec=4+2"); None (or "r=1") keeps the
     #: single-copy legacy paths byte-identical.
     redundancy: "Optional[str]" = None
@@ -322,15 +314,6 @@ class EBSSimulator:
             self._arena = Arena()
         return self._arena
 
-    def _record_mask(
-        self, read_b: np.ndarray, write_b: np.ndarray,
-        read_i: np.ndarray, write_i: np.ndarray,
-    ) -> np.ndarray:
-        cfg = self.config
-        return (read_b + write_b >= cfg.min_record_bytes) | (
-            read_i + write_i >= cfg.min_record_iops
-        )
-
     def bindings(
         self, hypervisors: HypervisorSet, storage: StorageCluster
     ) -> "tuple[np.ndarray, np.ndarray]":
@@ -447,7 +430,7 @@ class EBSSimulator:
         qp_to_wt: np.ndarray,
         seg_to_bs: np.ndarray,
     ) -> "Optional[FaultAdjustedInputs]":
-        """Fault-adjusted per-entity series shared by both pass-1 paths.
+        """Fault-adjusted per-entity series for pass 1 and the outcome.
 
         None when there is no plan (or the plan has no crash/stall inside
         the horizon) — the no-fault code paths then run unchanged.
@@ -483,17 +466,14 @@ class EBSSimulator:
         traffic: List[VdTraffic],
         qp_to_wt: np.ndarray,
         seg_to_bs: np.ndarray,
-        fast: "bool | None" = None,
         adjusted: "Optional[FaultAdjustedInputs]" = None,
     ) -> "tuple[np.ndarray, np.ndarray, ComputeMetricTable, StorageMetricTable]":
-        """Load grids + metric tables; ``fast`` overrides the config knob.
+        """Load grids + metric tables.
 
         ``adjusted`` carries precomputed fault-adjusted inputs (so
         :meth:`run` computes them once for both passes and the outcome);
         when omitted they are derived here from the simulator's plan.
         """
-        if fast is None:
-            fast = self.config.use_fast_path
         if (
             self._redundancy is not None
             and self._expansion is None
@@ -506,26 +486,19 @@ class EBSSimulator:
             adjusted = self.fault_adjusted_inputs(traffic, qp_to_wt, seg_to_bs)
         telemetry = get_telemetry()
         dc = self.fleet.config.dc_id
-        with telemetry.span(
-            "sim.pass1", dc=dc, path="fast" if fast else "reference"
-        ):
-            if fast:
-                wt_load, bs_load, cbuf, sbuf = self._pass1_fast(
-                    traffic, qp_to_wt, seg_to_bs, adjusted
-                )
-            else:
-                wt_load, bs_load, cbuf, sbuf = self._pass1_reference(
-                    traffic, qp_to_wt, seg_to_bs, adjusted
-                )
+        with telemetry.span("sim.pass1", dc=dc):
+            wt_load, bs_load, cbuf, sbuf = self._pass1_fast(
+                traffic, qp_to_wt, seg_to_bs, adjusted
+            )
             compute_table = ComputeMetricTable(**cbuf.concatenated())
             storage_table = StorageMetricTable(**sbuf.concatenated())
         self._record_pass1_telemetry(
-            wt_load, bs_load, compute_table, storage_table, fast=fast
+            wt_load, bs_load, compute_table, storage_table
         )
         return wt_load, bs_load, compute_table, storage_table
 
     def _record_pass1_telemetry(
-        self, wt_load, bs_load, compute_table, storage_table, fast: bool
+        self, wt_load, bs_load, compute_table, storage_table
     ) -> None:
         """Pass-1 counters/gauges; the streaming engine calls this once
         after merging its shards so metric parity with the monolithic run
@@ -534,8 +507,7 @@ class EBSSimulator:
         if not telemetry.enabled:
             return
         dc = self.fleet.config.dc_id
-        path = "fast" if fast else "reference"
-        telemetry.counter("sim.pass1.runs", dc=dc, path=path).inc()
+        telemetry.counter("sim.pass1.runs", dc=dc).inc()
         telemetry.counter(
             "sim.pass1.rows", dc=dc, table="compute"
         ).inc(len(compute_table))
@@ -548,134 +520,6 @@ class EBSSimulator:
         telemetry.gauge("sim.pass1.bs_grid_cells", dc=dc).set_max(
             int(bs_load.size)
         )
-
-    def _pass1_reference(
-        self,
-        traffic: List[VdTraffic],
-        qp_to_wt: np.ndarray,
-        seg_to_bs: np.ndarray,
-        adjusted: "Optional[FaultAdjustedInputs]" = None,
-    ) -> "tuple[np.ndarray, np.ndarray, _ColumnBuffer, _ColumnBuffer]":
-        """Scalar per-VD/per-QP loops: the audited ground-truth path.
-
-        With ``adjusted`` (fault churn) the per-entity series are read
-        from the shared fault-adjusted matrices instead of being derived
-        from the VD series, and the per-segment BlockServer may vary per
-        epoch (redirects) — accumulated with ``np.add.at`` in the same
-        element order the fast path uses.
-        """
-        fleet = self.fleet
-        cfg = self.config
-        t = cfg.duration_seconds
-        dc = fleet.config.dc_id
-        bs_per_node = fleet.config.block_servers_per_node
-        ep_idx = adjusted.epoch_index if adjusted is not None else None
-        arange_t = np.arange(t) if adjusted is not None else None
-        exp = self._expansion if self._redundancy is not None else None
-        width = exp.width if exp is not None else 1
-
-        wt_load = np.zeros((fleet.num_wts, t))
-        bs_load = np.zeros((fleet.config.num_block_servers, t))
-        compute_buf = _ColumnBuffer(
-            ComputeMetricTable.INT_FIELDS, ComputeMetricTable.FLOAT_FIELDS
-        )
-        storage_buf = _ColumnBuffer(
-            StorageMetricTable.INT_FIELDS, StorageMetricTable.FLOAT_FIELDS
-        )
-
-        for vd_traffic in traffic:
-            vd = fleet.vds[vd_traffic.vd_id]
-            vm = fleet.vms[vd.vm_id]
-            for index, qp_id in enumerate(vd.qp_ids):
-                if adjusted is None:
-                    rb = vd_traffic.read_bytes * vd_traffic.qp_read_weights[index]
-                    wb = vd_traffic.write_bytes * vd_traffic.qp_write_weights[index]
-                    ri = vd_traffic.read_iops * vd_traffic.qp_read_weights[index]
-                    wi = vd_traffic.write_iops * vd_traffic.qp_write_weights[index]
-                else:
-                    rb = adjusted.qp_rb[qp_id]
-                    wb = adjusted.qp_wb[qp_id]
-                    ri = adjusted.qp_ri[qp_id]
-                    wi = adjusted.qp_wi[qp_id]
-                wt_id = int(qp_to_wt[qp_id])
-                wt_load[wt_id] += rb + wb
-                mask = self._record_mask(rb, wb, ri, wi)
-                if not mask.any():
-                    continue
-                ts = np.nonzero(mask)[0]
-                n = ts.size
-                compute_buf.append(
-                    timestamp=ts,
-                    cluster_id=np.full(n, dc),
-                    compute_node_id=np.full(n, vm.compute_node_id),
-                    user_id=np.full(n, vd.user_id),
-                    vm_id=np.full(n, vd.vm_id),
-                    vd_id=np.full(n, vd.vd_id),
-                    wt_id=np.full(n, wt_id),
-                    qp_id=np.full(n, qp_id),
-                    read_bytes=rb[ts],
-                    write_bytes=wb[ts],
-                    read_iops=ri[ts],
-                    write_iops=wi[ts],
-                )
-            for index, seg_id in enumerate(vd.segment_ids):
-                # With redundancy active the storage entities are the
-                # segment's copies (global replica id = seg * width +
-                # slot); the precomputed per-replica weight vectors are
-                # the exact operands the fast path multiplies with, so
-                # both paths stay bit-identical.
-                for slot in range(width):
-                    ent_id = seg_id * width + slot if exp is not None else seg_id
-                    if adjusted is None:
-                        if exp is None:
-                            s_rw = vd_traffic.segment_read_weights[index]
-                            s_ww = vd_traffic.segment_write_weights[index]
-                        else:
-                            s_rw = exp.rep_rw[ent_id]
-                            s_ww = exp.rep_ww[ent_id]
-                        rb = vd_traffic.read_bytes * s_rw
-                        wb = vd_traffic.write_bytes * s_ww
-                        ri = vd_traffic.read_iops * s_rw
-                        wi = vd_traffic.write_iops * s_ww
-                        bs_id = int(
-                            seg_to_bs[seg_id] if exp is None
-                            else exp.rep_bs[ent_id]
-                        )
-                        bs_load[bs_id] += rb + wb
-                        bs_sec = None
-                    else:
-                        rb = adjusted.seg_rb[ent_id]
-                        wb = adjusted.seg_wb[ent_id]
-                        ri = adjusted.seg_ri[ent_id]
-                        wi = adjusted.seg_wi[ent_id]
-                        bs_sec = adjusted.seg_bs_ep[ent_id][ep_idx]
-                        np.add.at(bs_load, (bs_sec, arange_t), rb + wb)
-                    mask = self._record_mask(rb, wb, ri, wi)
-                    if not mask.any():
-                        continue
-                    ts = np.nonzero(mask)[0]
-                    n = ts.size
-                    if bs_sec is None:
-                        bs_rows = np.full(n, bs_id)
-                        node_rows = np.full(n, bs_id // bs_per_node)
-                    else:
-                        bs_rows = bs_sec[ts]
-                        node_rows = bs_rows // bs_per_node
-                    storage_buf.append(
-                        timestamp=ts,
-                        cluster_id=np.full(n, dc),
-                        storage_node_id=node_rows,
-                        block_server_id=bs_rows,
-                        user_id=np.full(n, vd.user_id),
-                        vm_id=np.full(n, vd.vm_id),
-                        vd_id=np.full(n, vd.vd_id),
-                        segment_id=np.full(n, seg_id),
-                        read_bytes=rb[ts],
-                        write_bytes=wb[ts],
-                        read_iops=ri[ts],
-                        write_iops=wi[ts],
-                    )
-        return wt_load, bs_load, compute_buf, storage_buf
 
     def _stacked_series(
         self, traffic: List[VdTraffic], t: int
@@ -740,12 +584,13 @@ class EBSSimulator:
         within a chunk every per-second value is computed with the exact
         same elementwise operations (and ``np.add.at`` applies additions in
         index order), so load grids and metric rows are bit-identical to
-        :meth:`_pass1_reference` when ``traffic`` is in fleet VD order.
+        the scalar oracle ``reference_pass1`` (``tests/oracles/pass1.py``)
+        when ``traffic`` is in fleet VD order.
 
         The scatter-add onto a load grid uses a flat-index ``np.bincount``
         when the whole entity range fits in one chunk (the common case):
         ``bincount`` accumulates its weights sequentially in input order,
-        exactly like the reference's ``+=`` per entity, so the grids stay
+        exactly like the oracle's ``+=`` per entity, so the grids stay
         bitwise equal while running several times faster than
         ``np.add.at``.  Multi-chunk runs (huge fleets) fall back to
         ``np.add.at`` per chunk, which updates the accumulator element by
@@ -873,7 +718,7 @@ class EBSSimulator:
         def record_mask_fused(
             bw: np.ndarray, ri: np.ndarray, wi: np.ndarray
         ) -> np.ndarray:
-            # Inlined _record_mask over arena buffers: the same two
+            # The oracle's record mask over arena buffers: the same two
             # comparisons and logical-or, so the mask is bit-identical.
             mask = arena.take("pass1.mask", bw.shape, np.bool_)
             np.greater_equal(bw, min_bytes, out=mask)
@@ -948,7 +793,7 @@ class EBSSimulator:
                 # Redirects make the target BS epoch-dependent: scatter with
                 # a per-(segment, second) target grid.  ``np.add.at``
                 # iterates in C (entity-major, second-ascending) order —
-                # the exact order the reference's per-entity adds use.
+                # the exact order the oracle's per-entity adds use.
                 targets = adjusted.seg_bs_ep[start:stop][:, ep_idx]
                 np.add.at(
                     bs_load,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -172,9 +171,9 @@ class StudyConfig:
         - ``"large"`` — longer and larger for tighter statistics (runs
           streamed by default on the CLI);
         - ``"xlarge"`` — the raw-speed tier: >=100k VMs across the three
-          DCs (only runs streamed; pair with ``--max-rss-mb`` and the
-          raw series format).  Trace sampling and the metric-recording
-          thresholds are scaled so outputs stay tractable.
+          DCs (only runs streamed; pair with ``--max-rss-mb``).  Trace
+          sampling and the metric-recording thresholds are scaled so
+          outputs stay tractable.
 
         Any :class:`StudyConfig` field can be overridden::
 
@@ -182,8 +181,7 @@ class StudyConfig:
             StudyConfig.scale("medium", lending_rates=(0.3, 0.6))
 
         Unknown override names raise :class:`ConfigError` (catching the
-        typo at construction, not deep inside a sweep).  This replaces
-        the deprecated ``StudyConfig.small/medium/large`` classmethods.
+        typo at construction, not deep inside a sweep).
         """
         factory = _SCALE_PRESETS.get(name)
         if factory is None:
@@ -200,41 +198,6 @@ class StudyConfig:
             )
         params.update(overrides)
         return cls(**params)
-
-    # -- deprecated preset shims --------------------------------------------
-
-    @classmethod
-    def small(cls, seed: int = 7) -> "StudyConfig":
-        """Deprecated: use ``StudyConfig.scale("small", seed=...)``."""
-        warnings.warn(
-            "StudyConfig.small() is deprecated; use "
-            "StudyConfig.scale('small', seed=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.scale("small", seed=seed)
-
-    @classmethod
-    def medium(cls, seed: int = 7) -> "StudyConfig":
-        """Deprecated: use ``StudyConfig.scale("medium", seed=...)``."""
-        warnings.warn(
-            "StudyConfig.medium() is deprecated; use "
-            "StudyConfig.scale('medium', seed=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.scale("medium", seed=seed)
-
-    @classmethod
-    def large(cls, seed: int = 7) -> "StudyConfig":
-        """Deprecated: use ``StudyConfig.scale("large", seed=...)``."""
-        warnings.warn(
-            "StudyConfig.large() is deprecated; use "
-            "StudyConfig.scale('large', seed=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.scale("large", seed=seed)
 
 
 def _small_params() -> "Dict[str, Any]":

@@ -72,7 +72,6 @@ class Study:
         chunk_epochs: "Optional[int]" = None,
         shard_dir: "Optional[str]" = None,
         max_rss_mb: "Optional[int]" = None,
-        series_format: str = "raw",
         series_dtype: str = "float64",
     ):
         self.config = config if config is not None else StudyConfig()
@@ -83,17 +82,20 @@ class Study:
             raise ConfigError(
                 f"chunk_epochs must be >= 1, got {chunk_epochs}"
             )
+        if series_dtype != "float64" and chunk_epochs is None:
+            raise ConfigError(
+                f"series_dtype={series_dtype!r} applies only to a streamed "
+                "build (it sets the shard store's series dtype); pass "
+                "chunk_epochs or keep float64"
+            )
         #: ``None`` = monolithic build; an int streams each DC's
         #: simulation out-of-core in shards of that many epochs
         #: (byte-identical results; see :mod:`repro.engine`).
         self.chunk_epochs = chunk_epochs
         self.shard_dir = shard_dir
         self.max_rss_mb = max_rss_mb
-        #: Streamed-build shard-store options: ``"raw"`` (zero-copy mmap
-        #: reads; the default) or ``"npz"``, and the on-disk series dtype
-        #: (``"float32"`` is the digest-gated opt-in; raw-only).  Results
-        #: are digest-identical across formats at float64.
-        self.series_format = series_format
+        #: Streamed-build shard-store series dtype (``"float32"`` is the
+        #: digest-gated opt-in).
         self.series_dtype = series_dtype
         self._engines: List[object] = []
 
@@ -199,7 +201,6 @@ class Study:
                         chunk_epochs=self.chunk_epochs,
                         shard_dir=dc_dir,
                         max_rss_mb=self.max_rss_mb,
-                        series_format=self.series_format,
                         series_dtype=self.series_dtype,
                     )
                     self._engines.append(engine)

@@ -113,7 +113,6 @@ class StreamingSimulator:
         max_rss_mb: "Optional[int]" = None,
         epoch_seconds: int = EPOCH_SECONDS,
         vd_batch_size: "Optional[int]" = None,
-        series_format: str = "raw",
         series_dtype: str = "float64",
     ):
         if simulator._redundancy is not None:
@@ -141,10 +140,7 @@ class StreamingSimulator:
             else str(shard_dir)
         )
         self.store = ShardStore(
-            self._directory,
-            self.plan,
-            series_format=series_format,
-            series_dtype=series_dtype,
+            self._directory, self.plan, series_dtype=series_dtype
         )
         #: Scratch buffers reused across shard reloads (never shipped to
         #: worker processes; see :class:`repro.engine.arena.Arena`).
@@ -261,7 +257,7 @@ class StreamingSimulator:
         # Recorded once, post-merge: metric parity with the monolithic
         # run_pass1 holds for any chunk_epochs choice.
         sim._record_pass1_telemetry(
-            wt_load, bs_load, compute_table, storage_table, fast=True
+            wt_load, bs_load, compute_table, storage_table
         )
         return wt_load, bs_load, compute_table, storage_table
 

@@ -26,6 +26,7 @@ from repro.cache.fastreplay import (
     replay_pages_fast,
     replay_trace_fast,
 )
+from repro.cache.hotspot import hottest_block
 from repro.cache.simulate import (
     replay_trace,
     simulate_vd_cache,
@@ -297,8 +298,20 @@ class TestReplayFast:
 class TestSimulateFastSlowParity:
     def test_simulate_vd_cache_fast_equals_slow(self):
         traces = traces_with_hotspot(n_hot=80, n_cold=60)
-        fast = simulate_vd_cache(traces, 0, MiB, 100 * MiB, fast=True)
-        slow = simulate_vd_cache(traces, 0, MiB, 100 * MiB, fast=False)
+        fast = simulate_vd_cache(traces, 0, MiB, 100 * MiB)
+        vd_traces = traces.for_vd(0)
+        block = hottest_block(traces, 0, MiB, 100 * MiB)
+        capacity_pages = MiB // PAGE_BYTES
+        slow = {
+            "fifo": replay_trace(FifoCache(capacity_pages), vd_traces),
+            "lru": replay_trace(LruCache(capacity_pages), vd_traces),
+            "frozen": replay_trace(
+                FrozenCache.for_byte_range(
+                    block.start_byte, block.block_bytes, PAGE_BYTES
+                ),
+                vd_traces,
+            ),
+        }
         assert fast == slow
 
     def test_simulate_vd_caches_matches_single_size_calls(self):

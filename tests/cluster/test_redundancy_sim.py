@@ -3,11 +3,10 @@
 Pins the three load-bearing guarantees of the redundancy redesign:
 
 - **r=1 golden parity** — ``redundancy="r=1"`` with the primary policy
-  is byte-for-byte the no-redundancy simulator (same golden digest), on
-  both pass-1 paths;
+  is byte-for-byte the no-redundancy simulator (same golden digest);
 - **differential** — for every read policy and for EC, the vectorized
-  pass-1 is bit-identical to the scalar reference, with and without a
-  fault plan;
+  pass-1 is bit-identical to the scalar oracle
+  (``tests/oracles/pass1.py``), with and without a fault plan;
 - **failover accounting** — IO mass is conserved (delivered + dropped
   == offered) when a crash window hits a replicated cluster, and the
   unsupported combinations (streaming, qp_stall) are rejected loudly.
@@ -41,21 +40,23 @@ from tests.cluster.test_simulator_fastpath import (
     _result_digest,
     _tables_equal,
 )
+from tests.oracles.pass1 import reference_pass1
 
 #: Non-trivial schemes that fit the 3-BS golden fleet.
 SCHEMES = ["r=2", "r=3", "ec=2+1"]
 
 
-def _run(redundancy, read_policy="primary", fast=True, plan=None, seed=11):
+def _simulator(redundancy, read_policy="primary", plan=None, seed=11):
     rngs = RngFactory(seed)
     fleet = build_fleet(GOLDEN_FLEET, rngs)
     config = replace(
-        GOLDEN_SIM,
-        use_fast_path=fast,
-        redundancy=redundancy,
-        read_policy=read_policy,
+        GOLDEN_SIM, redundancy=redundancy, read_policy=read_policy
     )
-    return EBSSimulator(fleet, config, rngs, fault_plan=plan).run()
+    return EBSSimulator(fleet, config, rngs, fault_plan=plan)
+
+
+def _run(redundancy, read_policy="primary", plan=None, seed=11):
+    return _simulator(redundancy, read_policy, plan, seed).run()
 
 
 class TestGoldenParity:
@@ -63,9 +64,6 @@ class TestGoldenParity:
 
     def test_r1_primary_reproduces_the_golden_digest(self):
         assert _result_digest(_run("r=1")) == GOLDEN_DIGEST
-
-    def test_r1_primary_reference_path_matches_too(self):
-        assert _result_digest(_run("r=1", fast=False)) == GOLDEN_DIGEST
 
     def test_trivial_scheme_is_detected(self):
         config = replace(GOLDEN_SIM, redundancy="r=1")
@@ -105,8 +103,8 @@ class TestDifferential:
         qp_to_wt, seg_to_bs = simulator.bindings(
             HypervisorSet(fleet), storage
         )
-        ref = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=False)
-        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=True)
+        ref = reference_pass1(simulator, traffic, qp_to_wt, seg_to_bs)
+        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs)
         return ref, fast
 
     @pytest.mark.parametrize("policy", READ_POLICY_NAMES)
@@ -152,9 +150,21 @@ class TestDifferential:
 
     @pytest.mark.parametrize("spec", SCHEMES)
     def test_full_run_digest_stable_across_paths(self, spec):
-        slow = _run(spec, read_policy="power_of_two", fast=False)
-        fast = _run(spec, read_policy="power_of_two", fast=True)
-        assert _result_digest(slow) == _result_digest(fast)
+        """A whole run's pass 1 (expansion built from the placement
+        table, power-of-two draws included) matches the oracle replayed
+        on that run's own inputs."""
+        simulator = _simulator(spec, read_policy="power_of_two")
+        result = simulator.run()
+        qp_to_wt, seg_to_bs = simulator.bindings(
+            result.hypervisors, result.storage
+        )
+        ref = reference_pass1(
+            simulator, result.traffic, qp_to_wt, seg_to_bs
+        )
+        np.testing.assert_array_equal(ref[0], result.wt_load_bps)
+        np.testing.assert_array_equal(ref[1], result.bs_load_bps)
+        assert _tables_equal(ref[2], result.metrics.compute)
+        assert _tables_equal(ref[3], result.metrics.storage)
 
     def test_same_seed_same_digest(self):
         a = _run("r=3", read_policy="power_of_two")

@@ -1,7 +1,7 @@
 """Fast-path equivalence, worker stability, and regression tests.
 
 Covers the vectorized pass 1 (must be bit-identical to the scalar
-reference, dtypes included), the seed-determinism of the whole simulator
+oracle in ``tests/oracles/pass1.py``, dtypes included), the seed-determinism of the whole simulator
 (golden digest, stable across worker counts), and the ``_ColumnBuffer``
 empty-dtype / ``_normalized_probabilities`` regressions.
 """
@@ -26,6 +26,8 @@ from repro.util.errors import ConfigError
 from repro.util.rng import RngFactory
 from repro.workload.fleet import FleetConfig, build_fleet
 from repro.workload.generator import WorkloadGenerator
+
+from tests.oracles.pass1 import reference_pass1
 
 #: SHA-256 over every trace column, metric column, and load grid of the
 #: golden run below.  Any change to RNG stream layout, accumulation
@@ -90,25 +92,12 @@ class TestPass1Equivalence:
 
     def test_fast_pass1_bit_identical(self, pass1_inputs):
         simulator, traffic, qp_to_wt, seg_to_bs = pass1_inputs
-        ref = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=False)
-        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs, fast=True)
+        ref = reference_pass1(simulator, traffic, qp_to_wt, seg_to_bs)
+        fast = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs)
         np.testing.assert_array_equal(ref[0], fast[0])  # WT load grid
         np.testing.assert_array_equal(ref[1], fast[1])  # BS load grid
         assert _tables_equal(ref[2], fast[2])           # compute metrics
         assert _tables_equal(ref[3], fast[3])           # storage metrics
-
-    def test_config_knob_selects_path(self, small_fleet):
-        config = SimulationConfig(
-            duration_seconds=30, trace_sampling_rate=1.0 / 10.0,
-            use_fast_path=False,
-        )
-        slow = EBSSimulator(small_fleet, config, RngFactory(3)).run()
-        fast = EBSSimulator(
-            small_fleet, replace(config, use_fast_path=True), RngFactory(3)
-        ).run()
-        assert _tables_equal(slow.metrics.compute, fast.metrics.compute)
-        assert _tables_equal(slow.metrics.storage, fast.metrics.storage)
-        np.testing.assert_array_equal(slow.wt_load_bps, fast.wt_load_bps)
 
 
 class TestSeedDeterminism:

@@ -1,18 +1,20 @@
 """Differential tests: scalar vs vectorized simulation under fault plans.
 
-The contract being pinned: for ANY fault plan, the vectorized pass-1 and
-the per-VD trace pipeline produce datasets bit-identical to the scalar
-reference — dtypes included — and identical for any worker count.  A
-no-fault plan must reproduce the fault-free golden digest exactly.
+The contract being pinned: for ANY fault plan, the vectorized pass 1
+produces load grids and metric tables bit-identical to the scalar oracle
+(``tests/oracles/pass1.py``) — dtypes included — on the same
+fault-adjusted inputs, and the whole run (datasets and fault accounting)
+is identical for any worker count.  A no-fault plan must reproduce the
+fault-free golden digest exactly.
 """
 
 import hashlib
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from repro.cluster.hypervisor import HypervisorSet
 from repro.cluster.simulator import EBSSimulator, SimulationConfig
+from repro.cluster.storage import StorageCluster
 from repro.faults.generate import PlanShape, random_fault_plan
 from repro.faults.plan import (
     FaultEvent,
@@ -22,13 +24,16 @@ from repro.faults.plan import (
 )
 from repro.util.rng import RngFactory
 from repro.workload.fleet import FleetConfig, build_fleet
+from repro.workload.generator import WorkloadGenerator
 
 from tests.cluster.test_simulator_fastpath import (
     GOLDEN_DIGEST,
     GOLDEN_FLEET,
     GOLDEN_SIM,
     _result_digest,
+    _tables_equal,
 )
+from tests.oracles.pass1 import reference_pass1
 
 #: The issue's acceptance bar: at least 25 seeded plans in the harness.
 NUM_DIFFERENTIAL_PLANS = 25
@@ -42,12 +47,36 @@ def _shape() -> PlanShape:
     return PlanShape.of_fleet(_build_fleet(), GOLDEN_SIM.duration_seconds)
 
 
-def _run(plan, fast: bool, workers: int = 1, seed: int = 11):
+def _run(plan, workers: int = 1, seed: int = 11):
     rngs = RngFactory(seed)
     fleet = build_fleet(GOLDEN_FLEET, rngs)
-    config = replace(GOLDEN_SIM, use_fast_path=fast)
-    simulator = EBSSimulator(fleet, config, rngs, fault_plan=plan)
+    simulator = EBSSimulator(fleet, GOLDEN_SIM, rngs, fault_plan=plan)
     return simulator.run(workers=workers)
+
+
+def _assert_pass1_matches_oracle(plan, seed: int = 11):
+    """Oracle vs vectorized pass 1 on the inputs :meth:`run` would use,
+    sharing one set of fault-adjusted series."""
+    rngs = RngFactory(seed)
+    fleet = build_fleet(GOLDEN_FLEET, rngs)
+    simulator = EBSSimulator(fleet, GOLDEN_SIM, rngs, fault_plan=plan)
+    traffic = WorkloadGenerator(
+        fleet, GOLDEN_SIM.duration_seconds, rngs,
+        diurnal_amplitude=GOLDEN_SIM.diurnal_amplitude,
+    ).generate_all()
+    qp_to_wt, seg_to_bs = simulator.bindings(
+        HypervisorSet(fleet), StorageCluster(fleet)
+    )
+    adjusted = simulator.fault_adjusted_inputs(traffic, qp_to_wt, seg_to_bs)
+    ref = reference_pass1(simulator, traffic, qp_to_wt, seg_to_bs, adjusted)
+    fast = simulator.run_pass1(
+        traffic, qp_to_wt, seg_to_bs, adjusted=adjusted
+    )
+    for ref_grid, fast_grid in zip(ref[:2], fast[:2]):
+        assert ref_grid.dtype == fast_grid.dtype
+        np.testing.assert_array_equal(ref_grid, fast_grid)
+    assert _tables_equal(ref[2], fast[2])
+    assert _tables_equal(ref[3], fast[3])
 
 
 def _plan_for(seed: int) -> FaultPlan:
@@ -61,12 +90,12 @@ def _plan_for(seed: int) -> FaultPlan:
 
 class TestNoFaultIdentity:
     def test_empty_plan_reproduces_golden_digest(self):
-        result = _run(FaultPlan(), fast=True)
+        result = _run(FaultPlan())
         assert result.faults is None
         assert _result_digest(result) == GOLDEN_DIGEST
 
     def test_none_plan_reproduces_golden_digest(self):
-        assert _result_digest(_run(None, fast=True)) == GOLDEN_DIGEST
+        assert _result_digest(_run(None)) == GOLDEN_DIGEST
 
     def test_out_of_horizon_plan_reproduces_traces(self):
         """Events entirely past the horizon leave the datasets untouched."""
@@ -81,7 +110,7 @@ class TestNoFaultIdentity:
                 ),
             )
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         assert result.faults is not None  # the plan is non-empty...
         assert _result_digest(result) == GOLDEN_DIGEST  # ...but inert
 
@@ -89,39 +118,36 @@ class TestNoFaultIdentity:
 class TestDifferentialUnderFaults:
     @pytest.mark.parametrize("seed", range(NUM_DIFFERENTIAL_PLANS))
     def test_scalar_and_fast_paths_are_bit_identical(self, seed):
-        plan = _plan_for(seed)
-        slow = _run(plan, fast=False)
-        fast = _run(plan, fast=True)
-        assert _result_digest(slow) == _result_digest(fast)
-
-    @pytest.mark.parametrize("seed", range(NUM_DIFFERENTIAL_PLANS))
-    def test_fault_accounting_matches_across_paths(self, seed):
-        plan = _plan_for(seed)
-        slow = _run(plan, fast=False)
-        fast = _run(plan, fast=True)
-        if slow.faults is None:
-            assert fast.faults is None
-            return
-        assert slow.faults.accounting == fast.faults.accounting
-        assert slow.faults.trace_stats == fast.faults.trace_stats
+        _assert_pass1_matches_oracle(_plan_for(seed))
 
 
 class TestWorkerParityUnderFaults:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_workers_do_not_change_results(self, seed):
         plan = _plan_for(seed)
-        sequential = _run(plan, fast=True, workers=1)
-        fanned = _run(plan, fast=True, workers=2)
+        sequential = _run(plan, workers=1)
+        fanned = _run(plan, workers=2)
         assert _result_digest(sequential) == _result_digest(fanned)
         if sequential.faults is not None:
             assert (
                 sequential.faults.trace_stats == fanned.faults.trace_stats
             )
 
+    @pytest.mark.parametrize("seed", range(NUM_DIFFERENTIAL_PLANS))
+    def test_fault_accounting_matches_across_workers(self, seed):
+        plan = _plan_for(seed)
+        sequential = _run(plan, workers=1)
+        fanned = _run(plan, workers=2)
+        if sequential.faults is None:
+            assert fanned.faults is None
+            return
+        assert sequential.faults.accounting == fanned.faults.accounting
+        assert sequential.faults.trace_stats == fanned.faults.trace_stats
+
     def test_seed_changes_results(self):
         plan = _plan_for(0)
-        assert _result_digest(_run(plan, fast=True, seed=11)) != (
-            _result_digest(_run(plan, fast=True, seed=12))
+        assert _result_digest(_run(plan, seed=11)) != (
+            _result_digest(_run(plan, seed=12))
         )
 
 
@@ -132,7 +158,7 @@ class TestFaultEffectsAreReal:
         changed = 0
         for seed in range(6):
             plan = _plan_for(seed)
-            if _result_digest(_run(plan, fast=True)) != GOLDEN_DIGEST:
+            if _result_digest(_run(plan)) != GOLDEN_DIGEST:
                 changed += 1
         assert changed > 0
 
@@ -145,7 +171,7 @@ class TestFaultEffectsAreReal:
             ),
             policy=RedirectPolicy.REDIRECT,
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         assert np.all(result.bs_load_bps[0] == 0.0)
         assert result.faults.accounting.redirected_ios > 0
 
@@ -161,8 +187,8 @@ class TestFaultEffectsAreReal:
                 ),
             )
         )
-        base = _run(None, fast=True)
-        degraded = _run(plan, fast=True)
+        base = _run(None)
+        degraded = _run(plan)
         total = lambda r: float(  # noqa: E731
             sum(
                 r.traces.columns()[c].sum()
@@ -183,7 +209,7 @@ class TestFaultEffectsAreReal:
                 ),
             )
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         node = result.fleet.queue_pairs[qp].compute_node_id
         log = result.hypervisors.node(node).stall_log
         assert any(
@@ -200,7 +226,7 @@ class TestFaultEffectsAreReal:
                 ),
             )
         )
-        result = _run(plan, fast=True)
+        result = _run(plan)
         actions = [
             (event.bs_id, event.action)
             for event in result.storage.failure_log
@@ -211,7 +237,7 @@ class TestFaultEffectsAreReal:
 
 def _digest_plan_outcome(plan) -> str:
     """Digest of datasets AND fault attribution, for the golden pin."""
-    result = _run(plan, fast=True)
+    result = _run(plan)
     h = hashlib.sha256()
     h.update(_result_digest(result).encode())
     if result.faults is not None:
@@ -252,6 +278,4 @@ class TestGoldenFaultDigest:
         )
 
     def test_scalar_path_agrees(self):
-        fast = _run(self.PLAN, fast=True)
-        slow = _run(self.PLAN, fast=False)
-        assert _result_digest(fast) == _result_digest(slow)
+        _assert_pass1_matches_oracle(self.PLAN)

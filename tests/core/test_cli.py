@@ -37,18 +37,23 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_run_rejects_output_and_json_together(self, capsys):
+    def test_export_dataset_requires_one_directory(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["export-dataset"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "-o/--output" in err
+
+    def test_float32_series_without_streaming_fails_cleanly(self, capsys):
         code = main(
-            ["run", "table2", "-o", "a.json", "--json", "b.json"]
+            ["run", "table2", "--scale", "small", "--duration-seconds",
+             "60", "--series-dtype", "float32"]
         )
         assert code == 1
-        assert "deprecated alias" in capsys.readouterr().err
-
-    def test_export_dataset_requires_one_directory(self, capsys):
-        assert main(["export-dataset"]) == 1
-        assert "-o/--output" in capsys.readouterr().err
-        assert main(["export-dataset", "a", "-o", "b"]) == 1
-        assert "once" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--series-dtype float32" in err
+        assert "streaming" in err
 
     def test_sweep_rejects_bad_axis(self, capsys):
         code = main(["sweep", "table2", "--axis", "notafield=1"])
@@ -104,7 +109,7 @@ class TestMain:
         )
         assert args.redundancy == "r=2"
         args = build_parser().parse_args(
-            ["export-dataset", "out", "--redundancy", "ec=4+2"]
+            ["export-dataset", "-o", "out", "--redundancy", "ec=4+2"]
         )
         assert args.redundancy == "ec=4+2"
 
@@ -119,24 +124,13 @@ class TestMain:
         assert "redundancy_cov" in out
         assert "redundancy_faults" in out
 
-    def test_json_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "table2", "--json", "out.json"]
-        )
-        assert args.json == "out.json"
-
     def test_run_output_flag_parsed(self):
         args = build_parser().parse_args(["run", "table2", "-o", "out.json"])
         assert args.output == "out.json"
 
-    def test_export_dataset_parses(self):
-        args = build_parser().parse_args(["export-dataset", "somewhere"])
-        assert args.directory == "somewhere"
-
     def test_export_dataset_output_flag(self):
         args = build_parser().parse_args(["export-dataset", "-o", "there"])
         assert args.output == "there"
-        assert args.directory is None
 
     def test_sweep_parses(self):
         args = build_parser().parse_args(
@@ -161,7 +155,7 @@ class TestMain:
 class TestMainEndToEnd:
     def test_run_with_json_output(self, tmp_path, capsys):
         out = tmp_path / "results.json"
-        code = main(["run", "table2", "--scale", "small", "--json", str(out)])
+        code = main(["run", "table2", "--scale", "small", "-o", str(out)])
         assert code == 0
         import json
 
@@ -170,7 +164,7 @@ class TestMainEndToEnd:
         assert payload["results"][0]["experiment_id"] == "table2"
 
     def test_export_dataset_writes_files(self, tmp_path, capsys):
-        code = main(["export-dataset", str(tmp_path / "data")])
+        code = main(["export-dataset", "-o", str(tmp_path / "data")])
         assert code == 0
         written = {p.name for p in (tmp_path / "data").iterdir()}
         assert "dc0_traces.jsonl" in written

@@ -64,16 +64,6 @@ class TestStudyConfig:
         with pytest.raises(ConfigError):
             StudyConfig.scale("small", cache_min_tracez=50)
 
-    def test_deprecated_presets_warn_but_match_scale(self):
-        for shim, name in (
-            (StudyConfig.small, "small"),
-            (StudyConfig.medium, "medium"),
-            (StudyConfig.large, "large"),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                config = shim(seed=1)
-            assert config == StudyConfig.scale(name, seed=1)
-
     def test_rejects_bad_lending_rates(self):
         with pytest.raises(ConfigError):
             StudyConfig(lending_rates=(0.0,))
@@ -103,6 +93,13 @@ class TestStudy:
         a = study.run("table2")
         b = study.run("table2")
         assert a is b
+
+    def test_series_dtype_requires_a_streamed_build(self):
+        # The dtype only reaches the shard store; a monolithic build
+        # would accept and then ignore it.
+        with pytest.raises(ConfigError, match="series_dtype"):
+            Study(tiny_config(), series_dtype="float32")
+        Study(tiny_config(), chunk_epochs=1, series_dtype="float32")
 
 
 class TestRegistry:

@@ -1,9 +1,7 @@
 """ShardStore spill/reload: bitwise round-trips and the lazy view.
 
-The bitwise fixtures run against both series formats — the legacy npz
-store and the raw ``.npy``/mmap store — which at float64 must reload
-byte-identical series.  The float32 opt-in (raw-only, lossy cast) gets
-its own explicit tests.
+At float64 the raw ``.npy``/mmap store must reload byte-identical
+series.  The float32 opt-in (lossy cast) gets its own explicit tests.
 """
 
 import numpy as np
@@ -34,9 +32,7 @@ def monolithic_traffic():
     return WorkloadGenerator(fleet, DURATION, rngs).generate_all()
 
 
-def _build_store(
-    directory, monolithic_traffic, series_format, series_dtype="float64"
-):
+def _build_store(directory, monolithic_traffic, series_dtype="float64"):
     plan = plan_for(
         duration_seconds=DURATION,
         num_vds=len(monolithic_traffic),
@@ -47,12 +43,7 @@ def _build_store(
     rngs = RngFactory(33)
     fleet = build_fleet(FLEET, rngs)
     generator = WorkloadGenerator(fleet, DURATION, rngs)
-    store = ShardStore(
-        directory,
-        plan,
-        series_format=series_format,
-        series_dtype=series_dtype,
-    )
+    store = ShardStore(directory, plan, series_dtype=series_dtype)
     qp_rw = np.zeros(len(fleet.queue_pairs))
     qp_ww = np.zeros(len(fleet.queue_pairs))
     seg_rw = np.zeros(len(fleet.segments))
@@ -75,9 +66,9 @@ def _build_store(
     return store
 
 
-@pytest.fixture(params=["npz", "raw"])
-def store(tmp_path, monolithic_traffic, request):
-    return _build_store(tmp_path / "store", monolithic_traffic, request.param)
+@pytest.fixture
+def store(tmp_path, monolithic_traffic):
+    return _build_store(tmp_path / "store", monolithic_traffic)
 
 
 def _traffic_equal(a, b) -> bool:
@@ -123,7 +114,7 @@ class TestRoundTrip:
         reloaded = store.traffic_batch(0)
         for a, b in zip(reloaded, monolithic_traffic):
             # Draw from copies: draw_offsets advances the model's state,
-            # and the monolithic fixture is shared across format params.
+            # and the monolithic fixture is shared across tests.
             got = copy.deepcopy(a.lba_model).draw_offsets(
                 np.random.default_rng(5), is_write, 0.7
             )
@@ -185,7 +176,7 @@ class TestStreamedTraffic:
 
 
 def test_purge_store(store):
-    """Regression: cleanup leaves no orphans for either series format."""
+    """Regression: cleanup leaves no orphans (series blocks included)."""
     directory = store.directory
     assert any(directory.iterdir())
     purge_store(directory)
@@ -194,44 +185,31 @@ def test_purge_store(store):
 
 
 class TestSeriesOptions:
-    def test_unknown_format_and_dtype_rejected(self, tmp_path, store):
-        with pytest.raises(ConfigError, match="series format"):
-            ShardStore(tmp_path / "s", store.plan, series_format="zarr")
+    def test_unknown_dtype_rejected(self, tmp_path, store):
         with pytest.raises(ConfigError, match="series dtype"):
             ShardStore(tmp_path / "s", store.plan, series_dtype="float16")
 
-    def test_float32_requires_raw(self, tmp_path, store):
-        with pytest.raises(ConfigError, match="float32"):
-            ShardStore(
-                tmp_path / "s",
-                store.plan,
-                series_format="npz",
-                series_dtype="float32",
-            )
-
-    def test_v1_manifest_reads_as_npz_float64(
-        self, tmp_path, monolithic_traffic
-    ):
+    def test_pre_v3_manifests_are_rejected(self, store):
+        """Version-1/2 stores (npz series possible) are scratch data from
+        an older build: open names the version and says to re-run."""
         import json
 
-        store = _build_store(tmp_path / "store", monolithic_traffic, "npz")
         manifest = json.loads(store.manifest_path.read_text())
-        manifest["schema_version"] = 1
-        del manifest["series_format"]
-        del manifest["series_dtype"]
-        store.manifest_path.write_text(json.dumps(manifest))
-        reopened = ShardStore.open(store.directory)
-        assert reopened.series_format == "npz"
-        assert reopened.series_dtype == "float64"
-        for a, b in zip(reopened.materialize(), monolithic_traffic):
-            assert _traffic_equal(a, b)
+        for version in (1, 2):
+            manifest["schema_version"] = version
+            store.manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(
+                ConfigError, match=f"schema version {version};.*re-run"
+            ):
+                ShardStore.open(store.directory)
 
 
 class TestRawFormat:
     def test_open_autodetects_raw(self, tmp_path, monolithic_traffic):
-        store = _build_store(tmp_path / "store", monolithic_traffic, "raw")
+        """A reopened store reads its raw series back bitwise, with the
+        dtype taken from the manifest rather than from the caller."""
+        store = _build_store(tmp_path / "store", monolithic_traffic)
         reopened = ShardStore.open(store.directory)
-        assert reopened.series_format == "raw"
         assert reopened.series_dtype == "float64"
         for a, b in zip(reopened.materialize(), monolithic_traffic):
             assert _traffic_equal(a, b)
@@ -239,7 +217,7 @@ class TestRawFormat:
     def test_series_for_shard_fills_a_reused_arena(
         self, tmp_path, monolithic_traffic
     ):
-        store = _build_store(tmp_path / "store", monolithic_traffic, "raw")
+        store = _build_store(tmp_path / "store", monolithic_traffic)
         assert store.plan.num_batches > 1  # exercises the copy path
         arena = Arena()
         for shard in range(store.plan.num_shards):
@@ -260,7 +238,7 @@ class TestRawFormat:
             epoch_seconds=9,
             vd_batch_size=len(monolithic_traffic),
         )
-        store = ShardStore(tmp_path / "store", plan, series_format="raw")
+        store = ShardStore(tmp_path / "store", plan)
         store.spill_batch(0, list(monolithic_traffic))
         zeros = np.zeros(1)
         store.finalize((zeros, zeros, zeros, zeros))
@@ -273,7 +251,7 @@ class TestRawFormat:
         self, tmp_path, monolithic_traffic
     ):
         store = _build_store(
-            tmp_path / "store", monolithic_traffic, "raw", "float32"
+            tmp_path / "store", monolithic_traffic, "float32"
         )
         reloaded = store.materialize()
         for a, b in zip(reloaded, monolithic_traffic):

@@ -39,7 +39,7 @@ RAGGED_SIM = SimulationConfig(duration_seconds=50, trace_sampling_rate=0.2)
 
 def _run(
     streamed, chunk_epochs=2, workers=1, plan=None, telemetry=False,
-    cleanup=True, sim=SIM, series_format="raw", series_dtype="float64",
+    cleanup=True, sim=SIM, series_dtype="float64",
 ):
     """One run; ``cleanup=False`` keeps the shard store alive so the
     caller can read the lazy ``result.traffic`` view (caller must call
@@ -53,8 +53,7 @@ def _run(
         if streamed:
             engine = StreamingSimulator(
                 simulator, chunk_epochs, epoch_seconds=EPOCH,
-                vd_batch_size=5, series_format=series_format,
-                series_dtype=series_dtype,
+                vd_batch_size=5, series_dtype=series_dtype,
             )
             try:
                 result = engine.run(workers=workers)
@@ -157,30 +156,11 @@ class TestGeometryEdgeCases:
 
 
 class TestFormatParity:
-    """npz and raw/mmap stores are interchangeable at float64.
+    """The float32 series opt-in is deterministic under its own digest.
 
-    The default streamed path (``raw``) is already pinned against the
-    monolithic digest by :class:`TestDigestParity`; here the legacy npz
-    store must land on the very same bytes across the geometry matrix,
-    and the float32 opt-in must be deterministic under its own digest.
+    The float64 store is pinned against the monolithic digest by
+    :class:`TestDigestParity`.
     """
-
-    @pytest.mark.parametrize(
-        "chunk_epochs,workers", [(1, 1), (2, 2), (5, 1)]
-    )
-    def test_npz_and_raw_digests_match(
-        self, monolithic, chunk_epochs, workers
-    ):
-        raw, _, _ = _run(
-            True, chunk_epochs=chunk_epochs, workers=workers,
-            series_format="raw",
-        )
-        npz, _, _ = _run(
-            True, chunk_epochs=chunk_epochs, workers=workers,
-            series_format="npz",
-        )
-        assert result_digest(raw) == result_digest(npz)
-        assert result_digest(raw) == result_digest(monolithic)
 
     def test_float32_is_deterministic_with_its_own_digest(self, monolithic):
         first, _, _ = _run(True, series_dtype="float32")
