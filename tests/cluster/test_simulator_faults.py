@@ -249,6 +249,13 @@ def _digest_plan_outcome(plan) -> str:
     return h.hexdigest()
 
 
+#: Datasets plus fault attribution of the golden run under
+#: :attr:`TestGoldenFaultDigest.PLAN`.
+GOLDEN_FAULT_DIGEST = (
+    "b02bb082e9117302ca10309de3676104dba2ba93a566e192636426c585937669"
+)
+
+
 class TestGoldenFaultDigest:
     """One pinned end-to-end digest under a fixed non-trivial plan.
 
@@ -273,9 +280,7 @@ class TestGoldenFaultDigest:
     )
 
     def test_digest_is_stable_across_runs(self):
-        assert _digest_plan_outcome(self.PLAN) == _digest_plan_outcome(
-            self.PLAN
-        )
+        assert _digest_plan_outcome(self.PLAN) == GOLDEN_FAULT_DIGEST
 
     def test_scalar_path_agrees(self):
         _assert_pass1_matches_oracle(self.PLAN)
