@@ -163,9 +163,10 @@ class Study:
 
         ``workers > 1`` is an opt-in process fan-out: DCs simulate in
         parallel (each DC's streams are keyed by its dc_id, so results
-        are identical to the sequential build); a study with a single DC
-        instead fans the per-VD trace generation out over ``workers``.
-        Either way the datasets are seed-stable for any worker count.
+        are identical to the sequential build); a study with a single DC,
+        or a streamed one, instead fans the per-VD trace generation out
+        over ``workers``.  Either way the datasets are seed-stable for
+        any worker count.
         """
         if self._results:
             return self
@@ -177,35 +178,7 @@ class Study:
         with telemetry.span(
             "study.build", workers=workers, dcs=len(dcs)
         ) as span:
-            if self.streamed:
-                # Out-of-core path: DCs stream sequentially (one bounded
-                # working set at a time); ``workers`` fans out the
-                # per-batch pass 2 inside each DC instead.
-                from repro.engine import StreamingSimulator
-
-                for dc_config in dcs:
-                    fleet = build_fleet(dc_config, self.rngs)
-                    simulator = EBSSimulator(
-                        fleet,
-                        sim_config,
-                        self.rngs,
-                        fault_plan=self._fault_plan_for(dc_config.dc_id),
-                    )
-                    dc_dir = (
-                        None
-                        if self.shard_dir is None
-                        else f"{self.shard_dir}/dc{dc_config.dc_id:02d}"
-                    )
-                    engine = StreamingSimulator(
-                        simulator,
-                        chunk_epochs=self.chunk_epochs,
-                        shard_dir=dc_dir,
-                        max_rss_mb=self.max_rss_mb,
-                        series_dtype=self.series_dtype,
-                    )
-                    self._engines.append(engine)
-                    self._results.append(engine.run(workers=workers))
-            elif workers > 1 and len(dcs) > 1:
+            if workers > 1 and len(dcs) > 1 and not self.streamed:
                 payloads = [
                     (
                         dc,
@@ -227,6 +200,8 @@ class Study:
                     telemetry.merge_snapshot(snapshot)
                 self._results = [result for result, _ in outcomes]
             else:
+                # Streamed DCs run one after another (one bounded working
+                # set at a time); ``workers`` fans out pass 2 inside each.
                 for dc_config in dcs:
                     with telemetry.span(
                         "study.simulate_dc", dc=dc_config.dc_id
@@ -238,12 +213,35 @@ class Study:
                             self.rngs,
                             fault_plan=self._fault_plan_for(dc_config.dc_id),
                         )
-                        self._results.append(simulator.run(workers=workers))
+                        self._results.append(simulator.run(
+                            workers=workers, traffic=self._spill(simulator)
+                        ))
             if telemetry.enabled:
                 rss = peak_rss_bytes()
                 if rss is not None:
                     span.set(peak_rss_bytes=rss)
         return self
+
+    def _spill(self, simulator: EBSSimulator):
+        """A streamed build's spilled traffic; None builds in memory."""
+        if not self.streamed:
+            return None
+        from repro.engine import StreamingSimulator
+
+        dc_id = simulator.fleet.config.dc_id
+        engine = StreamingSimulator(
+            simulator,
+            chunk_epochs=self.chunk_epochs,
+            shard_dir=(
+                None
+                if self.shard_dir is None
+                else f"{self.shard_dir}/dc{dc_id:02d}"
+            ),
+            max_rss_mb=self.max_rss_mb,
+            series_dtype=self.series_dtype,
+        )
+        self._engines.append(engine)
+        return engine.spill()
 
     def result_for_dc(self, dc_id: int) -> SimulationResult:
         for result in self.results:
@@ -266,7 +264,10 @@ class Study:
         The run reuses ``result``'s fleet and offered traffic instead of
         generating them again: none of these settings enters traffic
         generation, so the outcome equals a fresh
-        :class:`EBSSimulator` run with the same seed.  When the settings
+        :class:`EBSSimulator` run with the same seed.  A streamed study's
+        traffic is its shard store: the run streams from that store
+        shard by shard, as the build did, instead of materializing it.
+        When the settings
         are the ones ``result`` was built with (fault-free, single-copy
         under the primary policy), ``result`` itself is returned.
         """

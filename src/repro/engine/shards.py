@@ -5,14 +5,14 @@ Layout of one store directory::
     manifest.json                 # schema, plan geometry, series dtype
     series_s0003_b0001.npy        # one (5, batch_vds, shard_len) block
     static_b0001.pkl              # per-VD weights / LBA model / sizes
-    weights.npz                   # stacked per-entity weight vectors
+    weights.npz                   # stacked weights + per-VD byte totals
 
 Series are stored raw: one plain ``.npy`` per (shard, batch) holding a
 single ``(5, batch_vds, shard_len)`` block.  Readers open it with
 ``np.load(..., mmap_mode="r")``: the kernel pages bytes in lazily and
 pool workers share the page cache instead of each materializing their
 own copy.  At float64 a store round-trips bitwise, so run digests are
-identical to the monolithic run's.
+identical to the in-memory run's.
 
 Series may be stored as float32 (``series_dtype``), halving disk and
 resident bytes.  The cast is lossy: results are still fully
@@ -21,7 +21,7 @@ explicitly and re-pin their golden digests (see docs/architecture.md).
 
 The per-VD static payload (weight vectors, the :class:`HotspotLbaModel`
 with its draw-time state, mean IO sizes) is pickled once, at the same
-lifecycle point the monolithic run reaches pass 2 with — which is what
+lifecycle point an in-memory run reaches pass 2 with — which is what
 makes a reloaded :class:`VdTraffic` indistinguishable from the original.
 """
 
@@ -34,14 +34,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.simulator import TrafficSource
 from repro.engine.arena import Arena
 from repro.engine.plan import StreamPlan
 from repro.util.errors import ConfigError
 from repro.workload.generator import VdTraffic
 
-#: Version 3 stores every series raw; stores of older versions (which
-#: could hold npz series) are rejected, not converted.
-SHARD_SCHEMA_VERSION = 3
+#: Version 4 stores every series raw and adds the per-VD byte totals
+#: to ``weights.npz``; stores of older versions are rejected, not
+#: converted.
+SHARD_SCHEMA_VERSION = 4
 
 SERIES_DTYPES = ("float64", "float32")
 
@@ -54,6 +56,18 @@ _STATIC_FIELDS = (
     "segment_read_weights", "segment_write_weights",
     "lba_model", "mean_read_size_bytes", "mean_write_size_bytes",
 )
+#: ``weights.npz`` keys, in :func:`repro.cluster.simulator.stack_weights`
+#: order.
+_WEIGHT_KEYS = ("qp_rw", "qp_ww", "seg_rw", "seg_ww", "vd_rt", "vd_wt")
+
+
+def parse_series_dtype(name: str) -> np.dtype:
+    """The numpy dtype of a series dtype name; ConfigError if unknown."""
+    if name not in SERIES_DTYPES:
+        raise ConfigError(
+            f"unknown series dtype {name!r}; choose from {SERIES_DTYPES}"
+        )
+    return np.dtype(name)
 
 
 class ShardStore:
@@ -65,18 +79,10 @@ class ShardStore:
         plan: StreamPlan,
         series_dtype: str = "float64",
     ):
-        if series_dtype not in SERIES_DTYPES:
-            raise ConfigError(
-                f"unknown series dtype {series_dtype!r}; "
-                f"choose from {SERIES_DTYPES}"
-            )
+        self._dtype = parse_series_dtype(series_dtype)
         self.directory = Path(directory)
         self.plan = plan
         self.series_dtype = series_dtype
-
-    @property
-    def _dtype(self) -> np.dtype:
-        return np.dtype(self.series_dtype)
 
     # -- paths ---------------------------------------------------------------
 
@@ -122,16 +128,14 @@ class ShardStore:
         with open(self._static_path(batch), "wb") as fh:
             pickle.dump(static, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def finalize(
-        self,
-        stacked_weights: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """Write the per-entity weight vectors and the manifest."""
-        qp_rw, qp_ww, seg_rw, seg_ww = stacked_weights
+    def finalize(self, stacked_weights: Tuple[np.ndarray, ...]) -> None:
+        """Write the weights and per-VD totals, then the manifest.
+
+        ``stacked_weights`` is the six-array tuple of
+        :func:`repro.cluster.simulator.stack_weights`.
+        """
         with open(self.weights_path, "wb") as fh:
-            np.savez(
-                fh, qp_rw=qp_rw, qp_ww=qp_ww, seg_rw=seg_rw, seg_ww=seg_ww
-            )
+            np.savez(fh, **dict(zip(_WEIGHT_KEYS, stacked_weights)))
         plan = self.plan
         self.manifest_path.write_text(json.dumps({
             "schema_version": SHARD_SCHEMA_VERSION,
@@ -179,8 +183,14 @@ class ShardStore:
     def stacked_weights(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(qp_rw, qp_ww, seg_rw, seg_ww)``."""
         with np.load(self.weights_path) as z:
-            return z["qp_rw"], z["qp_ww"], z["seg_rw"], z["seg_ww"]
+            return tuple(z[key] for key in _WEIGHT_KEYS[:4])
+
+    def vd_totals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-VD horizon ``(read, write)`` byte totals, taken at spill."""
+        with np.load(self.weights_path) as z:
+            return tuple(z[key] for key in _WEIGHT_KEYS[4:])
 
     def _raw_block(self, shard: int, batch: int) -> np.ndarray:
         """One raw (5, batch_vds, shard_len) block as a read-only memmap."""
@@ -193,7 +203,7 @@ class ShardStore:
 
         Rows are in VD-id order (batches are contiguous fleet-order
         ranges), so each matrix is bitwise equal to the corresponding
-        time slice of the monolithic stacked series (after the storage
+        time slice of the in-memory stacked series (after the storage
         dtype's cast, for float32 stores).
 
         Single-batch stores return zero-copy memmap views; multi-batch
@@ -228,7 +238,7 @@ class ShardStore:
         Time slices concatenate back to the exact original arrays (modulo
         the storage dtype) and the static payload unpickles to the exact
         spill-time object state, so pass 2 draws the same streams it
-        would have drawn monolithically.
+        would have drawn in memory.
         """
         with open(self._static_path(batch), "rb") as fh:
             static = pickle.load(fh)
@@ -259,21 +269,49 @@ class ShardStore:
         return out
 
 
-class StreamedTraffic:
+class StoreBatch:
+    """One VD batch of a store, read when iterated.
+
+    A pass-2 chunk of a streamed run: it pickles as the store's address
+    and a batch number, so a worker process reads its own batch instead
+    of receiving it from the parent.
+    """
+
+    def __init__(self, store: ShardStore, batch: int):
+        self.store = store
+        self.batch = batch
+
+    def __len__(self) -> int:
+        v0, v1 = self.store.plan.batch_bounds(self.batch)
+        return v1 - v0
+
+    def __iter__(self):
+        return iter(self.store.traffic_batch(self.batch))
+
+
+class StreamedTraffic(TrafficSource):
     """Lazy ``Sequence[VdTraffic]`` view over a :class:`ShardStore`.
 
-    Stands in for ``SimulationResult.traffic`` after a streamed run:
-    experiments iterate (or index) it like the materialized list, but only
-    a small window of batches is resident at a time.  Values are bitwise
-    equal to the monolithic list's, so any analysis downstream is
-    unchanged.
+    As a :class:`~repro.cluster.simulator.TrafficSource` it feeds a run
+    shard by shard (pass 1) and batch by batch (pass 2) without ever
+    holding the whole ``(num_vds, T)`` series.  As
+    ``SimulationResult.traffic`` of a streamed run, experiments iterate
+    (or index) it like the in-memory list, with only a small window of
+    batches resident at a time.  Values are bitwise equal to the
+    in-memory list's, so any analysis downstream is unchanged.
     """
+
+    streamed = True
 
     def __init__(self, store: ShardStore, cached_batches: int = 2):
         self._store = store
         self._cached_batches = max(1, int(cached_batches))
         self._cache: "Dict[int, List[VdTraffic]]" = {}
         self._lru: List[int] = []
+
+    @property
+    def duration_seconds(self) -> int:
+        return self._store.plan.duration_seconds
 
     def __len__(self) -> int:
         return self._store.plan.num_vds
@@ -304,6 +342,24 @@ class StreamedTraffic:
     def __iter__(self):
         for batch in range(self._store.plan.num_batches):
             yield from self._batch(batch)
+
+    def shard_bounds(self) -> List[Tuple[int, int]]:
+        return self._store.plan.all_shard_bounds()
+
+    def shard_series(self, shard: int, arena: "Optional[Arena]" = None):
+        return self._store.series_for_shard(shard, arena=arena)
+
+    def stacked_weights(self):
+        return self._store.stacked_weights()
+
+    def vd_totals(self):
+        return self._store.vd_totals()
+
+    def pass2_chunks(self, workers: int) -> List[StoreBatch]:
+        return [
+            StoreBatch(self._store, batch)
+            for batch in range(self._store.plan.num_batches)
+        ]
 
     def materialize(self) -> List[VdTraffic]:
         return self._store.materialize()

@@ -294,12 +294,8 @@ class FaultTimeline:
     # -- carry-over state (streamed shard execution) --------------------------
 
     def epoch_cursor(self, second: int) -> int:
-        """Epoch id active at ``second`` — the shard boundary cursor.
-
-        The streaming engine records this per shard so a resumed worker
-        re-enters the epoch grid at exactly the row a monolithic pass
-        would be reading.
-        """
+        """Epoch id active at ``second`` — the shard boundary cursor:
+        where a shard starting at ``second`` re-enters the epoch grid."""
         if not 0 <= second < self.duration_seconds:
             raise ConfigError(
                 f"second {second} outside horizon "
@@ -488,8 +484,8 @@ class FaultTimeline:
 
         ``stacked_series`` are the (num_vds, T) read/write byte/IOPS
         matrices; ``stacked_weights`` the per-entity weight vectors —
-        exactly what :meth:`EBSSimulator._stacked_series` /
-        ``_stacked_weights`` produce.  The multiplication into
+        exactly what :func:`repro.cluster.simulator.stack_series` /
+        ``stack_weights`` produce.  The multiplication into
         per-entity series uses the same elementwise operations as the
         fast pass, so unaffected entities keep bit-identical values.
         """

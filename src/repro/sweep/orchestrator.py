@@ -52,6 +52,7 @@ SWEEP_SCHEMA_VERSION = 1
 def _run_build_node(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one DC and publish the pickled result as the artifact."""
     from repro.cluster.simulator import EBSSimulator
+    from repro.engine import StreamingSimulator
     from repro.engine.digest import result_digest
     from repro.workload.fleet import build_fleet
 
@@ -73,10 +74,21 @@ def _run_build_node(payload: Dict[str, Any]) -> Dict[str, Any]:
             simulator = EBSSimulator(
                 fleet, config.simulation_config(), rngs, fault_plan=plan
             )
-            if chunk_epochs is None:
-                result = simulator.run()
-            else:
-                result = _run_streamed(simulator, chunk_epochs)
+            engine = (
+                None
+                if chunk_epochs is None
+                else StreamingSimulator(simulator, chunk_epochs=chunk_epochs)
+            )
+            try:
+                result = simulator.run(
+                    traffic=None if engine is None else engine.spill()
+                )
+                # The artifact outlives a streamed build's temp shard
+                # store: it pickles plain per-VD traffic.
+                result.traffic = list(result.traffic)
+            finally:
+                if engine is not None:
+                    engine.cleanup()
             digest = result_digest(result)
             store.put(
                 payload["key"],
@@ -132,26 +144,6 @@ def _run_experiment_node(payload: Dict[str, Any]) -> Dict[str, Any]:
         "elapsed_s": time.perf_counter() - started,
         "snapshot": snapshot,
     }
-
-
-def _run_streamed(simulator, chunk_epochs: int):
-    """Streamed build for sweep nodes: run sharded, then materialize.
-
-    The artifact must outlive the engine's temp shard store, so the lazy
-    traffic view is materialized into plain per-VD traffic before the
-    result pickles (datasets and grids are unaffected — the engine's
-    parity contract covers any geometry).
-    """
-    from repro.engine import StreamingSimulator, StreamedTraffic
-
-    engine = StreamingSimulator(simulator, chunk_epochs=chunk_epochs)
-    try:
-        result = engine.run()
-        if isinstance(result.traffic, StreamedTraffic):
-            result.traffic = engine.store.materialize()
-        return result
-    finally:
-        engine.cleanup()
 
 
 def _enter_worker_telemetry(payload):

@@ -48,7 +48,7 @@ def main(mode: str) -> int:
     elif mode == "streamed":
         engine = StreamingSimulator(simulator, CHUNK_EPOCHS)
         try:
-            result = engine.run()
+            result = simulator.run(traffic=engine.spill())
         finally:
             engine.cleanup()
     else:  # pragma: no cover - defensive
