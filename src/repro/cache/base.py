@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict
-
 from repro.util.errors import ConfigError
 
 
@@ -78,49 +76,3 @@ class Cache(abc.ABC):
             raise ConfigError(
                 f"cache holds {len(self)} pages, capacity {self.capacity_pages}"
             )
-
-    # -- carry-over state (chunked replay across shard boundaries) -----------
-
-    def _page_state(self) -> Any:
-        """Policy-specific residency state; override with recency intact."""
-        return None
-
-    def _load_page_state(self, state: Any) -> None:
-        """Restore what :meth:`_page_state` captured."""
-        if state is not None:
-            raise ConfigError(
-                f"{type(self).__name__} does not carry page state"
-            )
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Snapshot residency + stats for save/restore at a chunk boundary.
-
-        The streaming engine checkpoints caches here when a replay is cut
-        at a shard boundary; :meth:`load_state_dict` round-trips exactly,
-        so a chunked replay's hits/misses match the unchunked replay
-        access for access.
-        """
-        return {
-            "policy": type(self).__name__,
-            "capacity_pages": self.capacity_pages,
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "pages": self._page_state(),
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` snapshot (same policy + capacity)."""
-        if state.get("policy") != type(self).__name__:
-            raise ConfigError(
-                f"state is for {state.get('policy')}, "
-                f"cache is {type(self).__name__}"
-            )
-        if state.get("capacity_pages") != self.capacity_pages:
-            raise ConfigError(
-                f"state capacity {state.get('capacity_pages')} != "
-                f"cache capacity {self.capacity_pages}"
-            )
-        self._load_page_state(state.get("pages"))
-        self.stats.hits = int(state["hits"])
-        self.stats.misses = int(state["misses"])
-        self.check_invariants()

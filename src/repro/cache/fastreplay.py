@@ -471,30 +471,6 @@ def replay_pages_fast(
     return None
 
 
-def replay_pages_resumable(cache: Cache, pages: np.ndarray) -> int:
-    """Stateful replay of one chunk of pages; returns the chunk's hits.
-
-    Unlike :func:`replay_pages_fast` this *advances* the cache: residency
-    and stats after the call are exactly what a scalar replay of the
-    chunk leaves behind, so a run cut into chunks — with
-    :meth:`Cache.state_dict` checkpoints at the cuts — reproduces the
-    unchunked replay access for access.  The streaming engine drives it
-    via :func:`repro.engine.state.replay_pages_streamed`.
-    """
-    pages = np.asarray(pages, dtype=np.int64)
-    hits = 0
-    for page in pages:
-        hits += cache.access(int(page))
-    telemetry = get_telemetry()
-    if telemetry.enabled:
-        policy = _policy_label(cache)
-        _counter(telemetry, "cache.replay.resumable_chunks", policy).inc()
-        _counter(telemetry, "cache.replay.pages", policy).inc(
-            int(pages.size)
-        )
-    return hits
-
-
 def _policy_label(cache: Cache) -> str:
     """Short policy name for telemetry labels (``FifoCache`` -> ``fifo``)."""
     name = type(cache).__name__

@@ -27,10 +27,3 @@ class FifoCache(Cache):
 
     def __len__(self) -> int:
         return len(self._pages)
-
-    def _page_state(self) -> "list[int]":
-        """Resident pages in admission order (eviction queue order)."""
-        return list(self._pages.keys())
-
-    def _load_page_state(self, state: "list[int]") -> None:
-        self._pages = OrderedDict((int(page), None) for page in state)

@@ -54,14 +54,3 @@ class FrozenCache(Cache):
 
     def __len__(self) -> int:
         return self.capacity_pages
-
-    def _page_state(self) -> int:
-        """Residency is the fixed range; its start pins it exactly."""
-        return self.start_page
-
-    def _load_page_state(self, state: int) -> None:
-        if int(state) != self.start_page:
-            raise ConfigError(
-                f"state start_page {state} != cache start_page "
-                f"{self.start_page}"
-            )

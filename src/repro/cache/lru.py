@@ -28,10 +28,3 @@ class LruCache(Cache):
 
     def __len__(self) -> int:
         return len(self._pages)
-
-    def _page_state(self) -> "list[int]":
-        """Resident pages in LRU→MRU order (the full recency chain)."""
-        return list(self._pages.keys())
-
-    def _load_page_state(self, state: "list[int]") -> None:
-        self._pages = OrderedDict((int(page), None) for page in state)

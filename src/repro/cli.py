@@ -1242,8 +1242,8 @@ def _add_redundancy_flags(command: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         default=None,
         help="place every segment redundantly: 'r=N' for N-way "
-        "replication or 'ec=K+M' for a (K, M) erasure code; 'r=1' with "
-        "the primary policy reproduces the single-copy study bit-for-bit",
+        "replication or 'ec=K+M' for a (K, M) erasure code; 'r=1' "
+        "reproduces the single-copy study bit-for-bit",
     )
     command.add_argument(
         "--read-policy",

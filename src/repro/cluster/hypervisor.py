@@ -185,13 +185,6 @@ class HypervisorSet:
         qp = self.fleet.queue_pairs[qp_id]
         self.node(qp.compute_node_id).unstall_qp(qp_id, timestamp=timestamp)
 
-    def stalled_snapshot(self) -> "Set[int]":
-        """All currently stalled QPs across the fleet."""
-        out: Set[int] = set()
-        for hypervisor in self._nodes:
-            out |= hypervisor.stalled_qps
-        return out
-
     def binding_arrays(self) -> "Dict[int, int]":
         """Flat QP -> WT mapping over the whole fleet."""
         out: Dict[int, int] = {}

@@ -15,9 +15,11 @@ them:
   the same per-share weights — the model counts *logical IO units*, one
   per share touched, scaled by the share's byte fraction.
 
-``r=1`` replication is the degenerate single-copy case: the simulator
-detects it and runs the exact legacy code paths, which is what keeps
-the pinned golden digests bit-for-bit stable.
+``r=1`` replication is the degenerate single-copy case under every read
+policy (one copy leaves nothing to choose): the simulator detects it and
+runs the exact single-copy code paths, which is what keeps the pinned
+golden digests bit-for-bit stable and a fault plan's redirect/queue
+semantics intact.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class RedundancyConfig:
 
     @property
     def is_trivial(self) -> bool:
-        """Single-copy placement — the legacy paths run untouched."""
+        """Single-copy placement — the single-copy paths run untouched,
+        whatever the read policy."""
         return self.scheme == "replication" and self.r == 1
 
     @property

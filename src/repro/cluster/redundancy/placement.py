@@ -144,9 +144,6 @@ class PlacementMap:
         hits = np.nonzero(row == int(bs_id))[0]
         return int(hits[0]) if hits.size else -1
 
-    def is_resident(self, segment_id: int, bs_id: int) -> bool:
-        return self.slot_of(segment_id, bs_id) >= 0
-
     def primaries_on(self, bs_id: int) -> Set[int]:
         """Segments whose primary copy lives on ``bs_id``."""
         self._check_bs(bs_id)

@@ -113,11 +113,11 @@ class SimulationConfig:
     wt_capacity_bps: float = 2.0 * GiB
     bs_capacity_bps: float = 4.0 * GiB
     #: Redundancy spec ("r=3" / "ec=4+2"); None (or "r=1") keeps the
-    #: single-copy legacy paths byte-identical.
+    #: single-copy paths byte-identical.
     redundancy: "Optional[str]" = None
-    #: Read-assignment policy over a segment's copies (ignored when
-    #: redundancy is trivial): primary | least_loaded | power_of_two |
-    #: water_filling.
+    #: Read-assignment policy over a segment's copies (ignored at r=1,
+    #: where there is one copy to read): primary | least_loaded |
+    #: power_of_two | water_filling.
     read_policy: str = "primary"
 
     def __post_init__(self) -> None:
@@ -139,13 +139,11 @@ class SimulationConfig:
 
     def redundancy_config(self) -> "Optional[RedundancyConfig]":
         """Parsed scheme, or None when redundancy is trivially single-copy
-        under the primary policy (the golden-digest-preserving case)."""
+        (r=1 under any read policy: one copy leaves nothing to choose)."""
         if self.redundancy is None:
             return None
         scheme = RedundancyConfig.parse(self.redundancy)
-        if scheme.is_trivial and self.read_policy == "primary":
-            return None
-        return scheme
+        return None if scheme.is_trivial else scheme
 
 
 @dataclass
@@ -465,8 +463,8 @@ class EBSSimulator:
             if fault_plan is not None and not fault_plan.is_empty
             else None
         )
-        #: Parsed redundancy scheme; None when trivial (r=1 + primary),
-        #: in which case every legacy code path runs untouched.
+        #: Parsed redundancy scheme; None when trivial (r=1), in which
+        #: case every single-copy code path runs untouched.
         self._redundancy: Optional[RedundancyConfig] = (
             config.redundancy_config()
         )

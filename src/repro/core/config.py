@@ -78,8 +78,7 @@ class StudyConfig:
     #: plan reproduces the fault-free study bit-for-bit.
     fault_plan: Optional[FaultPlan] = None
     #: Redundancy spec ("r=3" / "ec=4+2") applied to every DC.  None (or
-    #: "r=1" under the primary policy) reproduces the single-copy study
-    #: bit-for-bit.
+    #: "r=1") reproduces the single-copy study bit-for-bit.
     redundancy: Optional[str] = None
     #: Read-assignment policy over a segment's copies: primary |
     #: least_loaded | power_of_two | water_filling.

@@ -88,6 +88,10 @@ def redundancy_cov(study) -> ExperimentResult:
                 result, redundancy=spec, read_policy=policy
             )
             totals = out.bs_load_bps.sum(axis=1)
+            p99_us = _p99_latency_us(out.traces)
+            # Release this rung's result before the next one is built:
+            # holding it would add a whole run to the next rung's peak.
+            del out
             cov = normalized_cov(totals)
             if spec.startswith("r="):
                 covs.append(cov)
@@ -103,7 +107,7 @@ def redundancy_cov(study) -> ExperimentResult:
                     spec,
                     policy,
                     round(cov, 4),
-                    round(_p99_latency_us(out.traces), 1),
+                    round(p99_us, 1),
                     round(fanout, 3),
                     "",
                 ]
@@ -169,11 +173,13 @@ def redundancy_faults(study) -> ExperimentResult:
         out = study.resimulate(
             result, redundancy=spec, read_policy=policy, fault_plan=plan
         )
-        acct = out.faults.accounting
+        faults = out.faults
+        # Only the fault outcome is read: release the rung's datasets
+        # before the next one is built.
+        del out
+        acct = faults.accounting
         offered = max(acct.offered_storage_ios, 1.0)
-        storage_residual, compute_residual = (
-            out.faults.conservation_residual()
-        )
+        storage_residual, compute_residual = faults.conservation_residual()
         assert storage_residual / offered < 1e-6, "IO mass not conserved"
         assert compute_residual / max(
             acct.offered_compute_ios, 1.0

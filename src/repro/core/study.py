@@ -269,7 +269,7 @@ class Study:
         shard by shard, as the build did, instead of materializing it.
         When the settings
         are the ones ``result`` was built with (fault-free, single-copy
-        under the primary policy), ``result`` itself is returned.
+        under any read policy), ``result`` itself is returned.
         """
         own = self.config.simulation_config()
         sim_config = replace(

@@ -14,7 +14,6 @@ Module map::
     plan      StreamPlan geometry (pure arithmetic, property-tested)
     arena     reusable scratch buffers for kernels and shard reloads
     shards    on-disk ShardStore (raw/mmap series) + StreamedTraffic source
-    state     carry-over save/restore drivers (buckets, caches, faults)
     merge     ShardPart merge with the canonical row order
     digest    result / telemetry-snapshot digests (the parity yardstick)
     executor  StreamingSimulator: spills a run's traffic to a store
@@ -31,11 +30,6 @@ from repro.engine.shards import (
     StreamedTraffic,
     purge_store,
 )
-from repro.engine.state import (
-    cut_series,
-    replay_pages_streamed,
-    shape_streamed,
-)
 
 __all__ = [
     "Arena",
@@ -46,12 +40,9 @@ __all__ = [
     "StreamPlan",
     "StreamedTraffic",
     "StreamingSimulator",
-    "cut_series",
     "merge_shard_parts",
     "plan_for",
     "purge_store",
-    "replay_pages_streamed",
     "result_digest",
-    "shape_streamed",
     "snapshot_digest",
 ]

@@ -58,10 +58,6 @@ class Arena:
         """Total bytes currently held across all slots."""
         return sum(buf.nbytes for buf in self._buffers.values())
 
-    def release(self) -> None:
-        """Drop every backing buffer (the arena stays usable)."""
-        self._buffers.clear()
-
     def __reduce__(self):
         # Scratch state never crosses process boundaries: a pickled
         # arena reconstructs empty on the other side.

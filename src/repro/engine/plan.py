@@ -82,9 +82,6 @@ class StreamPlan:
     def all_shard_bounds(self) -> List[Tuple[int, int]]:
         return [self.shard_bounds(i) for i in range(self.num_shards)]
 
-    def all_batch_bounds(self) -> List[Tuple[int, int]]:
-        return [self.batch_bounds(b) for b in range(self.num_batches)]
-
 
 def plan_for(
     duration_seconds: int,

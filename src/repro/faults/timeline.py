@@ -246,9 +246,6 @@ class FaultTimeline:
     def bs_down_at(self, bs_id: int, second: int) -> bool:
         return bool(self._bs_down_sec[bs_id, second])
 
-    def qp_stalled_at(self, qp_id: int, second: int) -> bool:
-        return bool(self._qp_stalled_sec[qp_id, second])
-
     def blackout_periods(self, period_seconds: int, num_periods: int) -> np.ndarray:
         """Per-period bool: any blackout second overlaps the period."""
         if period_seconds <= 0:
@@ -290,51 +287,6 @@ class FaultTimeline:
             else:
                 drain[second] = nxt
         return drain
-
-    # -- carry-over state (streamed shard execution) --------------------------
-
-    def epoch_cursor(self, second: int) -> int:
-        """Epoch id active at ``second`` — the shard boundary cursor:
-        where a shard starting at ``second`` re-enters the epoch grid."""
-        if not 0 <= second < self.duration_seconds:
-            raise ConfigError(
-                f"second {second} outside horizon "
-                f"[0, {self.duration_seconds})"
-            )
-        return int(self.epoch_index[second])
-
-    def save_state(self) -> "Dict[str, Dict[int, np.ndarray]]":
-        """Snapshot the lazily-built drain-queue memo tables.
-
-        Drain vectors are pure functions of the compiled timeline, but
-        they are built on first use — a worker resuming mid-run would
-        otherwise pay the O(T) backward scans again.  The snapshot
-        copies each vector, so later memo growth can't alias it.
-        """
-        return {
-            "bs_drain": {k: v.copy() for k, v in self._bs_drain.items()},
-            "qp_drain": {k: v.copy() for k, v in self._qp_drain.items()},
-        }
-
-    def restore_state(self, state: "Dict[str, Dict[int, np.ndarray]]") -> None:
-        """Restore a :meth:`save_state` snapshot (exact round-trip)."""
-        for key in ("bs_drain", "qp_drain"):
-            if key not in state:
-                raise ConfigError(f"drain state missing {key!r}")
-            for vector in state[key].values():
-                if np.asarray(vector).shape != (self.duration_seconds,):
-                    raise ConfigError(
-                        f"{key} vector shape {np.asarray(vector).shape} != "
-                        f"({self.duration_seconds},)"
-                    )
-        self._bs_drain = {
-            int(k): np.asarray(v, dtype=np.int64).copy()
-            for k, v in state["bs_drain"].items()
-        }
-        self._qp_drain = {
-            int(k): np.asarray(v, dtype=np.int64).copy()
-            for k, v in state["qp_drain"].items()
-        }
 
     def failure_schedule(self) -> List["tuple[int, str, int, int]"]:
         """Chronological (second, action, kind_ordinal, target) bookkeeping.

@@ -38,20 +38,6 @@ class TokenBucketConfig:
         return self.rate_per_second * self.burst_seconds
 
 
-@dataclass(frozen=True)
-class TokenBucketState:
-    """A bucket's carry-over state at a chunk boundary.
-
-    Captured by :meth:`TokenBucket.save_state` and threaded across time
-    shards by the streaming engine: restoring it and shaping the next
-    chunk with ``fresh=False`` continues the exact token/backlog
-    trajectory of an unchunked :meth:`TokenBucket.shape` call.
-    """
-
-    tokens: float
-    backlog: float
-
-
 @dataclass
 class ShapedTraffic:
     """Result of shaping an offered series through a token bucket."""
@@ -66,10 +52,6 @@ class ShapedTraffic:
     @property
     def throttled_seconds(self) -> int:
         return int(self.throttled.sum())
-
-    @property
-    def max_backlog(self) -> float:
-        return float(self.backlog.max()) if self.backlog.size else 0.0
 
     def queue_delay_seconds(self, rate_per_second: float) -> np.ndarray:
         """Per-second drain-time estimate of the queued work (Little-ish)."""
@@ -99,26 +81,6 @@ class TokenBucket:
         self._tokens = self.config.depth
         self._backlog = 0.0
 
-    def save_state(self) -> TokenBucketState:
-        """Snapshot the carry-over state (tokens + queued backlog)."""
-        return TokenBucketState(tokens=self._tokens, backlog=self._backlog)
-
-    def restore_state(self, state: TokenBucketState) -> None:
-        """Restore a snapshot taken by :meth:`save_state`.
-
-        Round-trips exactly: the floats are stored verbatim, so a
-        save/restore at any chunk boundary cannot perturb the stream.
-        """
-        if state.tokens < 0 or state.backlog < 0:
-            raise ConfigError("token-bucket state must be non-negative")
-        if state.tokens > self.config.depth:
-            raise ConfigError(
-                f"restored tokens {state.tokens} exceed depth "
-                f"{self.config.depth}"
-            )
-        self._tokens = float(state.tokens)
-        self._backlog = float(state.backlog)
-
     def step(self, offered: float) -> "tuple[float, float]":
         """Advance one second; returns (delivered, backlog).
 
@@ -138,27 +100,20 @@ class TokenBucket:
         self._backlog = demand - delivered
         return delivered, self._backlog
 
-    def shape(
-        self, offered: np.ndarray, *, fresh: bool = True
-    ) -> ShapedTraffic:
+    def shape(self, offered: np.ndarray) -> ShapedTraffic:
         """Shape a whole offered series (units/s, one entry per second).
 
-        By default the bucket is :meth:`reset` first, so ``shape`` always
-        describes a fresh bucket: calling it twice (or after
-        :meth:`step`) yields the same result as on a new instance
-        (regression: it used to silently continue from whatever
-        token/backlog state was left behind).  The streaming engine
-        passes ``fresh=False`` to continue from carried-over state when
-        shaping a run chunk by chunk (see
-        :func:`repro.engine.state.shape_streamed`).
+        The bucket is :meth:`reset` first, so ``shape`` always describes
+        a fresh bucket: calling it twice (or after :meth:`step`) yields
+        the same result as on a new instance.  Every caller shapes a
+        whole per-VD series, so no state is carried between calls.
         """
         offered = np.asarray(offered, dtype=float)
         if offered.ndim != 1:
             raise ConfigError("offered series must be 1-D")
         if np.any(offered < 0):
             raise ConfigError("offered traffic must be non-negative")
-        if fresh:
-            self.reset()
+        self.reset()
         delivered = np.empty_like(offered)
         backlog = np.empty_like(offered)
         throttled = np.empty(offered.size, dtype=bool)

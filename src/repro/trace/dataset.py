@@ -383,9 +383,3 @@ class MetricDataset:
 
     def total_write_bytes(self) -> float:
         return float(self.compute.write_bytes.sum())
-
-    def compute_for_node(self, node_id: int) -> ComputeMetricTable:
-        return self.compute.where(self.compute.compute_node_id == node_id)
-
-    def storage_for_cluster(self, cluster_id: int) -> StorageMetricTable:
-        return self.storage.where(self.storage.cluster_id == cluster_id)

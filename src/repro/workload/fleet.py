@@ -152,7 +152,6 @@ class _FleetIndexes:
 
     counts: Tuple[int, int, int]
     vds_by_vm: Dict[int, List[VdInfo]]
-    vms_by_node: Dict[int, List[VmInfo]]
     qps_by_node: Dict[int, List[QueuePairInfo]]
 
 
@@ -190,16 +189,12 @@ class Fleet:
         vds_by_vm: Dict[int, List[VdInfo]] = {}
         for vd in self.vds:
             vds_by_vm.setdefault(vd.vm_id, []).append(vd)
-        vms_by_node: Dict[int, List[VmInfo]] = {}
-        for vm in self.vms:
-            vms_by_node.setdefault(vm.compute_node_id, []).append(vm)
         qps_by_node: Dict[int, List[QueuePairInfo]] = {}
         for qp in self.queue_pairs:
             qps_by_node.setdefault(qp.compute_node_id, []).append(qp)
         built = _FleetIndexes(
             counts=counts,
             vds_by_vm=vds_by_vm,
-            vms_by_node=vms_by_node,
             qps_by_node=qps_by_node,
         )
         self._indexes = built
@@ -222,9 +217,6 @@ class Fleet:
 
     def vds_of_vm(self, vm_id: int) -> List[VdInfo]:
         return list(self._grouped().vds_by_vm.get(vm_id, ()))
-
-    def vms_of_node(self, node_id: int) -> List[VmInfo]:
-        return list(self._grouped().vms_by_node.get(node_id, ()))
 
     def qps_of_node(self, node_id: int) -> List[QueuePairInfo]:
         """All queue pairs attached to one compute node, by ascending id."""

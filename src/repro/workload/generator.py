@@ -57,9 +57,6 @@ class VdTraffic:
     def total_bytes(self) -> float:
         return float(self.read_bytes.sum() + self.write_bytes.sum())
 
-    def ios_at(self, t: int) -> float:
-        return float(self.read_iops[t] + self.write_iops[t])
-
 
 class WorkloadGenerator:
     """Generates :class:`VdTraffic` for every VD of a fleet, deterministically.

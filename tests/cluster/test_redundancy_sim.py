@@ -2,8 +2,9 @@
 
 Pins the three load-bearing guarantees of the redundancy redesign:
 
-- **r=1 golden parity** — ``redundancy="r=1"`` with the primary policy
-  is byte-for-byte the no-redundancy simulator (same golden digest);
+- **r=1 golden parity** — ``redundancy="r=1"`` under any read policy
+  is byte-for-byte the no-redundancy simulator (same golden digest, and
+  the same fault outcome under a crash plan);
 - **differential** — for every read policy and for EC, the vectorized
   pass-1 is bit-identical to the scalar oracle
   (``tests/oracles/pass1.py``), with and without a fault plan;
@@ -91,19 +92,33 @@ def _outcome_digest(result) -> str:
 
 
 class TestGoldenParity:
-    """r=1 + primary must run the legacy code paths untouched."""
+    """r=1 must run the single-copy code paths untouched, whatever the
+    read policy: one copy leaves nothing to choose."""
 
     def test_r1_primary_reproduces_the_golden_digest(self):
         assert _result_digest(_run("r=1")) == GOLDEN_DIGEST
 
     def test_trivial_scheme_is_detected(self):
-        config = replace(GOLDEN_SIM, redundancy="r=1")
-        assert config.redundancy_config() is None
         assert SimulationConfig().redundancy_config() is None
+        for policy in READ_POLICY_NAMES:
+            config = replace(
+                GOLDEN_SIM, redundancy="r=1", read_policy=policy
+            )
+            assert config.redundancy_config() is None, policy
         nontrivial = replace(
-            GOLDEN_SIM, redundancy="r=1", read_policy="least_loaded"
+            GOLDEN_SIM, redundancy="r=2", read_policy="primary"
         )
         assert nontrivial.redundancy_config() is not None
+
+    def test_r1_crash_outcome_is_the_same_under_every_policy(self):
+        # A queued crash at r=1 holds the downed BS's IOs until
+        # recovery; a policy that routed r=1 through the replica
+        # expansion would drop them instead (no copy to fail over to).
+        expected = _outcome_digest(_run(None, plan=EC_CRASH_PLAN))
+        for policy in READ_POLICY_NAMES:
+            result = _run("r=1", read_policy=policy, plan=EC_CRASH_PLAN)
+            assert result.faults.accounting.queued_ios > 0, policy
+            assert _outcome_digest(result) == expected, policy
 
     def test_nontrivial_redundancy_changes_the_result(self):
         assert _result_digest(_run("r=2")) != GOLDEN_DIGEST
@@ -327,9 +342,11 @@ class TestFailover:
         with pytest.raises(ConfigError, match="qp_stall"):
             _run("r=2", plan=plan)
 
-    def test_qp_stall_with_trivial_redundancy_still_allowed(self):
+    @pytest.mark.parametrize("policy", READ_POLICY_NAMES)
+    def test_qp_stall_with_trivial_redundancy_still_allowed(self, policy):
         result = _run(
             "r=1",
+            read_policy=policy,
             plan=FaultPlan(
                 events=(
                     FaultEvent(

@@ -32,7 +32,7 @@ class TestStreamPlan:
     @pytest.mark.parametrize("seed", range(40))
     def test_batches_partition_the_fleet(self, seed):
         plan = _random_plan(rng_for(seed))
-        bounds = plan.all_batch_bounds()
+        bounds = [plan.batch_bounds(b) for b in range(plan.num_batches)]
         assert bounds[0][0] == 0
         assert bounds[-1][1] == plan.num_vds
         for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):

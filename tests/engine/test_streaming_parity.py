@@ -42,7 +42,7 @@ PLAN = FaultPlan(events=(
 
 #: 50s is NOT a multiple of the 9s epoch: the final epoch itself is
 #: partial (5s), on top of whatever ragged final *shard* the chunking
-#: produces — the worst-case carry-over geometry.
+#: produces — the worst-case shard geometry.
 RAGGED_SIM = SimulationConfig(duration_seconds=50, trace_sampling_rate=0.2)
 
 
