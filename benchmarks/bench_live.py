@@ -19,7 +19,11 @@ or as a pytest smoke check (short replay, parity + floor only)::
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 from pathlib import Path
+
+import numpy as np
 
 from repro.live import (
     LiveConfig,
@@ -28,13 +32,16 @@ from repro.live import (
     run_live,
 )
 
-try:
-    from benchmarks.perf_common import merge_results
-except ImportError:  # executed as a script from inside benchmarks/
-    from perf_common import merge_results
-
-#: Live results live next to the other BENCH artifacts, at the repo root.
+#: The results file, at the repository root.
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_live.json"
+
+
+def write_results(payload: dict, path: Path = RESULTS_PATH) -> None:
+    """Write ``payload``, with the interpreter versions, as the ``live``
+    section of the results file."""
+    environment = {"python": platform.python_version(), "numpy": np.__version__}
+    results = {"live": dict(payload, environment=environment)}
+    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def run_live_benchmark(
@@ -159,7 +166,7 @@ def test_live_throughput_smoke(tmp_path):
     # The acceptance floor: the small-scale replay sustains >= 100k
     # events/sec end to end (threads, ring hops, and policy included).
     assert payload["events_per_sec"] >= 100_000
-    merge_results("live", payload, tmp_path / "BENCH_live.json")
+    write_results(payload, tmp_path / "BENCH_live.json")
     assert (tmp_path / "BENCH_live.json").exists()
 
 
@@ -207,7 +214,7 @@ def main() -> None:
             seed=args.seed,
             batch_events=args.batch_events,
         )
-    merge_results("live", payload, RESULTS_PATH)
+    write_results(payload)
     print(
         f"live[{args.scale}]: {payload['events']} events in "
         f"{payload['wall_seconds']}s wall "

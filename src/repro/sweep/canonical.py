@@ -24,11 +24,11 @@ Two version knobs are folded into every key:
   bumping it invalidates every cached artifact at once.
 - the node ``kind`` — build keys and experiment keys can never collide.
 
-Build keys deliberately cover only the fields that influence
-``Study.build()`` (seed, horizon, sampling rate, the DC's fleet config,
-and the fault plan scoped to that DC).  Experiment knobs — lending
-ratios, cache sizes, balancer periods — are excluded, which is exactly
-what lets overlapping sweep points share one simulated fleet.
+Build keys cover exactly what ``Study.build()`` reads: the seed, the
+whole ``simulation_config()`` (redundancy and recording thresholds
+included), the DC's fleet config, and the fault plan scoped to that DC.
+Experiment knobs — lending ratios, cache sizes, balancer periods — are
+excluded, which is what lets overlapping sweep points share one fleet.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Any, Dict, Optional
 from repro.util.errors import ConfigError
 
 #: Bump when a result-affecting code change must invalidate the cache.
-CODE_SCHEMA_VERSION = 2
+CODE_SCHEMA_VERSION = 3
 
 #: Largest magnitude at which an integral float collapses to an int
 #: losslessly (beyond 2**53 doubles skip integers).
@@ -143,8 +143,7 @@ def build_key(config, dc_config, fault_plan: Optional[object]) -> str:
             "schema": CODE_SCHEMA_VERSION,
             "kind": "build",
             "seed": config.seed,
-            "duration_seconds": config.duration_seconds,
-            "trace_sampling_rate": config.trace_sampling_rate,
+            "simulation": canonical_value(config.simulation_config()),
             "dc": canonical_value(dc_config),
             "fault_plan": canonical_value(fault_plan),
         }

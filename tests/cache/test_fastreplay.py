@@ -32,6 +32,7 @@ from repro.cache.simulate import (
     simulate_vd_cache,
     simulate_vd_caches,
 )
+from repro.obs.runtime import telemetry_session
 from repro.trace.dataset import TraceDataset
 from repro.util import ConfigError
 from repro.util.units import MiB
@@ -288,6 +289,21 @@ class TestReplayFast:
                 else type(cache)(8)
             assert ratios[name] == replay_trace(ref_cache, traces)
             assert cache.stats.hits == ref_cache.stats.hits
+
+    def test_replay_many_counts_fast_replays_and_reuse(self):
+        traces = traces_from_pages(np.random.default_rng(9).integers(0, 30, 400))
+        prepared = prepare_pages(pages_in_time_order(traces))
+        caches = {"fifo": FifoCache(8), "lru": LruCache(8),
+                  "frozen": FrozenCache(8, start_page=4)}
+        with telemetry_session() as telemetry:
+            replay_many(caches, traces, prepared)
+        counters = {
+            (c["name"], c["labels"].get("policy")): c["value"]
+            for c in telemetry.registry.snapshot()["counters"]
+        }
+        assert counters[("cache.prepared.reuse", None)] == 1
+        for policy in ("fifo", "lru", "frozen"):
+            assert counters[("cache.replay.fast", policy)] == 1
 
     def test_replay_many_empty_trace(self):
         traces = traces_from_pages([]).where(np.zeros(0, dtype=bool))

@@ -22,6 +22,7 @@ from repro.cluster.simulator import (
 from repro.cluster.storage import StorageCluster
 from repro.core.config import StudyConfig
 from repro.core.study import Study
+from repro.obs.runtime import telemetry_session
 from repro.util.errors import ConfigError
 from repro.util.rng import RngFactory
 from repro.workload.fleet import FleetConfig, build_fleet
@@ -98,6 +99,16 @@ class TestPass1Equivalence:
         np.testing.assert_array_equal(ref[1], fast[1])  # BS load grid
         assert _tables_equal(ref[2], fast[2])           # compute metrics
         assert _tables_equal(ref[3], fast[3])           # storage metrics
+
+    def test_enabled_telemetry_records_pass1_spans(self, pass1_inputs):
+        simulator, traffic, qp_to_wt, seg_to_bs = pass1_inputs
+        plain = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs)
+        with telemetry_session() as telemetry:
+            traced = simulator.run_pass1(traffic, qp_to_wt, seg_to_bs)
+        spans = [s["name"] for s in telemetry.tracer.snapshot()]
+        assert spans.count("sim.pass1") == 1
+        np.testing.assert_array_equal(plain[0], traced[0])
+        assert _tables_equal(plain[2], traced[2])
 
 
 class TestSeedDeterminism:

@@ -146,6 +146,11 @@ class TestBuildKeys:
             {"seed": 11},
             {"duration_seconds": 180},
             {"trace_sampling_rate": 0.5},
+            # The rest of simulation_config(), which the build also reads.
+            {"redundancy": "r=2"},
+            {"read_policy": "least_loaded"},
+            {"min_record_bytes": 4096.0},
+            {"min_record_iops": 2.0},
         ],
     )
     def test_build_relevant_fields_change_build_keys(self, override):

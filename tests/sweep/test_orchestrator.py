@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import run_experiment
 from repro.core import Study
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sweep import (
@@ -117,6 +118,30 @@ class TestColdWarm:
         assert payload["combined_digest"] == cold.combined_digest
         assert payload["cache"]["total"] == cold.stats.total
         json.dumps(payload)  # must be JSON-serializable as-is
+
+
+class TestBuildInputs:
+    def test_redundancy_axis_builds_per_point(self, base_config, tmp_path):
+        """A simulation field is a build input: no point reuses another's
+        build, and each point's table is the one a direct run produces."""
+        spec = SweepSpec(
+            base=base_config,
+            axes={"redundancy": ["r=1", "r=2"]},
+            experiments=("fig5a",),
+        )
+        outcome = SweepRunner(spec, tmp_path).run()
+        assert outcome.stats.by_kind["build"]["misses"] == 2 * len(
+            base_config.dc_configs
+        )
+        tables = {
+            point.config.redundancy: outcome.results[point.index]["fig5a"]
+            for point in outcome.points
+        }
+        direct = run_experiment(
+            "fig5a", config=replace(base_config, redundancy="r=2")
+        )
+        assert tables["r=2"].to_dict() == direct.to_dict()
+        assert tables["r=1"].to_dict() != tables["r=2"].to_dict()
 
 
 class TestSchedulers:
