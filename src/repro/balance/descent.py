@@ -173,10 +173,146 @@ def _pinned_qps(state: ClusterState, config: BalanceConfig) -> np.ndarray:
     return pinned
 
 
+#: Upper bound on the (VD, node, slot) cells family 2 scores at once.
+_REHOME_CHUNK_CELLS = 1 << 20
+
+
+@dataclass(frozen=True)
+class _VdGroups:
+    """A state's QPs grouped by VD, for scoring whole-VD re-homes.
+
+    Fixed for a whole descent: no move changes a QP's VD or traffic.
+    """
+
+    vds: np.ndarray        # (V,) VD ids, ascending
+    vd_row: np.ndarray     # (Q,) each QP's row in ``vds``
+    first_qp: np.ndarray   # (V,) each VD's lowest QP id
+    totals: np.ndarray     # (V,) each VD's traffic
+    scorable: np.ndarray   # rows of VDs that may move: unpinned, busy
+
+
+def _vd_groups(
+    state: ClusterState, config: BalanceConfig, pinned: np.ndarray
+) -> _VdGroups:
+    vds, vd_row = np.unique(state.qp_vd, return_inverse=True)
+    order = np.argsort(vd_row, kind="stable")  # QPs by VD, ascending
+    sizes = np.bincount(vd_row, minlength=vds.size)
+    starts = np.cumsum(sizes) - sizes
+    # Each VD's total as ``qp_traffic[qps].sum()`` sums it: VDs with
+    # equally many QPs go through one (VDs, k) matrix, which numpy
+    # reduces row by row exactly as it reduces each row on its own.
+    totals = np.empty(vds.size)
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        cols = order[starts[rows][:, None] + np.arange(k)]
+        totals[rows] = state.qp_traffic[cols].sum(axis=1)
+    vd_pinned = np.bincount(vd_row, weights=pinned, minlength=vds.size) > 0
+    excluded = np.isin(vds, np.fromiter(config.exclude_vds, dtype=np.int64))
+    return _VdGroups(
+        vds=vds,
+        vd_row=vd_row,
+        first_qp=order[starts],
+        totals=totals,
+        scorable=np.flatnonzero(~vd_pinned & ~excluded & (totals > 0)),
+    )
+
+
+def _best_vd_rehome(
+    state: ClusterState,
+    config: BalanceConfig,
+    wt: _Dimension,
+    node: _Dimension,
+    base_est: float,
+    pinned: np.ndarray,
+    best_est: float,
+    best_move: Optional[Move],
+    groups: Optional[_VdGroups] = None,
+) -> "Tuple[float, Optional[Move], int]":
+    """Family 2 scored as one ``(VD, node)`` array per block of VDs.
+
+    Every ``(VD, destination node)`` re-home gets the estimate the
+    per-VD loop (``tests/oracles/descent.py``) computes, with the same
+    operands in the same association order.  A row-major ``argmin``
+    keeps its tie-break: lowest VD, then lowest node, and a candidate
+    must beat ``best_est`` strictly.  Returns the updated best and the
+    number of candidates scored.  ``groups`` (:func:`_vd_groups` of the
+    state) may be carried over from an earlier step of the descent.
+    """
+    w = config.weights
+    total_w = w.total
+    per = state.workers_per_node
+    num_nodes = state.num_compute_nodes
+    wt_grid = wt.vector.reshape(num_nodes, per)
+    dest_vetoed = np.zeros(num_nodes, dtype=bool)
+    for node_id in config.exclude_nodes:
+        if node_id < num_nodes:
+            dest_vetoed[node_id] = True
+
+    if groups is None:
+        groups = _vd_groups(state, config, pinned)
+    rows = groups.scorable
+    # The loop's np.add.at per VD, in ascending QP order per cell.
+    deltas = np.zeros((groups.vds.size, per))
+    np.add.at(
+        deltas, (groups.vd_row, state.qp_wt % per), state.qp_traffic
+    )
+    srcs = state.qp_node[groups.first_qp]
+
+    evaluated = 0
+    wt_sq = wt_grid**2
+    node_sq = node.vector**2
+    block = max(1, _REHOME_CHUNK_CELLS // (num_nodes * per))
+    for lo in range(0, rows.size, block):
+        sel = rows[lo:lo + block]
+        src = srcs[sel]
+        delta = deltas[sel]
+        total_t = groups.totals[sel]
+        src_wt = wt_grid[src]
+        src_term = ((src_wt - delta) ** 2 - src_wt**2).sum(axis=1)
+        dest_term = (
+            (wt_grid[None, :, :] + delta[:, None, :]) ** 2 - wt_sq[None]
+        ).sum(axis=2)
+        new_wt_sumsq = (wt.sumsq + src_term)[:, None] + dest_term
+        src_u = node.vector[src]
+        new_node_sumsq = (
+            (node.sumsq + (src_u - total_t) ** 2 - src_u**2)[:, None]
+            + (node.vector[None, :] + total_t[:, None]) ** 2
+            - node_sq[None, :]
+        )
+        est = (
+            base_est
+            - (w.wt / total_w)
+            * (wt.est - _est_ncov(new_wt_sumsq, wt.total, wt.size))
+            - (w.node / total_w)
+            * (node.est - _est_ncov(new_node_sumsq, node.total, node.size))
+        )
+        invalid = dest_vetoed[None, :] | (
+            np.arange(num_nodes)[None, :] == src[:, None]
+        )
+        est[invalid] = math.inf
+        evaluated += int(np.count_nonzero(~invalid))
+        flat = int(np.argmin(est))
+        if est.flat[flat] < best_est:
+            row, dest = divmod(flat, num_nodes)
+            best_est = float(est.flat[flat])
+            best_move = Move(
+                kind=MoveKind.VD_REHOME,
+                entity=int(groups.vds[sel[row]]),
+                dest=dest,
+            )
+    return best_est, best_move, evaluated
+
+
 def _best_candidate(
-    state: ClusterState, config: BalanceConfig
+    state: ClusterState,
+    config: BalanceConfig,
+    groups: Optional[_VdGroups] = None,
 ) -> "Tuple[Optional[Move], int]":
-    """The estimated-best legal move, and how many candidates were scored."""
+    """The estimated-best legal move, and how many candidates were scored.
+
+    ``groups`` carries the state's :func:`_vd_groups` across the steps
+    of one descent.
+    """
     w = config.weights
     total_w = w.total
     node = _Dimension(state.node_utilization())
@@ -235,55 +371,11 @@ def _best_candidate(
         and state.num_qps
         and state.num_compute_nodes > 1
     ):
-        per = state.workers_per_node
-        num_nodes = state.num_compute_nodes
-        wt_grid = wt.vector.reshape(num_nodes, per)
-        dest_vetoed = np.zeros(num_nodes, dtype=bool)
-        for node_id in config.exclude_nodes:
-            if node_id < num_nodes:
-                dest_vetoed[node_id] = True
-        for vd in (int(v) for v in np.unique(state.qp_vd)):
-            if vd in config.exclude_vds:
-                continue
-            qps = np.nonzero(state.qp_vd == vd)[0]
-            if np.any(pinned[qps]):
-                continue
-            t = state.qp_traffic[qps]
-            total_t = float(t.sum())
-            if total_t <= 0:
-                continue
-            src = int(state.qp_node[qps[0]])
-            delta = np.zeros(per)
-            np.add.at(delta, state.qp_wt[qps] % per, t)
-            src_term = float(
-                ((wt_grid[src] - delta) ** 2 - wt_grid[src] ** 2).sum()
-            )
-            dest_term = ((wt_grid + delta[None, :]) ** 2 - wt_grid**2).sum(
-                axis=1
-            )
-            new_wt_sumsq = wt.sumsq + src_term + dest_term
-            new_node_sumsq = (
-                node.sumsq
-                + (node.vector[src] - total_t) ** 2
-                - node.vector[src] ** 2
-                + (node.vector + total_t) ** 2
-                - node.vector**2
-            )
-            est = (
-                base_est
-                - (w.wt / total_w)
-                * (wt.est - _est_ncov(new_wt_sumsq, wt.total, wt.size))
-                - (w.node / total_w)
-                * (node.est - _est_ncov(new_node_sumsq, node.total, node.size))
-            )
-            invalid = dest_vetoed.copy()
-            invalid[src] = True
-            est[invalid] = math.inf
-            evaluated += int(np.count_nonzero(~invalid))
-            dest = int(np.argmin(est))
-            if est[dest] < best_est:
-                best_est = float(est[dest])
-                best_move = Move(kind=MoveKind.VD_REHOME, entity=vd, dest=dest)
+        best_est, best_move, scored = _best_vd_rehome(
+            state, config, wt, node, base_est, pinned, best_est, best_move,
+            groups,
+        )
+        evaluated += scored
 
     # -- family 3: segment_migrate --------------------------------------
     if (
@@ -354,8 +446,9 @@ def plan_moves(
     score = initial
     planned = []
     with telemetry.span("balance.plan", planner="greedy") as span:
+        groups = _vd_groups(work, config, _pinned_qps(work, config))
         while len(planned) < config.max_moves:
-            move, evaluated = _best_candidate(work, config)
+            move, evaluated = _best_candidate(work, config, groups)
             telemetry.counter("balance.candidates_evaluated").inc(evaluated)
             if move is None:
                 break

@@ -93,7 +93,7 @@ def simulate_dispatch(
     the node's mean throughput per WT (a fluid approximation — adequate
     because we only need the *assignment*, not precise latencies).
     """
-    node_traces = traces.where(traces.compute_node_id == hypervisor.node_id)
+    node_traces = traces.for_node(hypervisor.node_id)
     n = len(node_traces)
     if n == 0:
         return None

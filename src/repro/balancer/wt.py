@@ -339,9 +339,7 @@ def simulate_rebinding(
     improvement; we use after/before so that < 1 consistently means the
     rebinding helped (the figure's semantics).
     """
-    node_traces = traces.where(
-        traces.compute_node_id == hypervisor.node_id
-    )
+    node_traces = traces.for_node(hypervisor.node_id)
     if len(node_traces) == 0:
         return None
     static = _wt_period_matrix(
@@ -394,9 +392,7 @@ def hottest_wt_series(
     """
     if period_seconds <= 0:
         raise ConfigError("period_seconds must be positive")
-    node_traces = traces.where(
-        traces.compute_node_id == hypervisor.node_id
-    )
+    node_traces = traces.for_node(hypervisor.node_id)
     if len(node_traces) == 0:
         return np.zeros(1), 0.0
     wt_series = _wt_period_matrix(node_traces, hypervisor, period_seconds)

@@ -51,28 +51,21 @@ def hottest_block(
     vd_id: int,
     block_bytes: int,
     capacity_bytes: int,
-    vd_traces: Optional[TraceDataset] = None,
 ) -> Optional[HottestBlock]:
-    """Locate a VD's hottest block; None if the VD has no traced IOs.
-
-    ``vd_traces`` may carry the pre-sliced ``traces.for_vd(vd_id)`` when
-    the caller already has it (slicing a fleet-sized dataset per VD per
-    block size dominates otherwise); it must match ``vd_id``.
-    """
+    """Locate a VD's hottest block; None if the VD has no traced IOs."""
     if capacity_bytes <= 0:
         raise ConfigError("capacity_bytes must be positive")
-    if vd_traces is None:
-        vd_traces = traces.for_vd(vd_id)
-    if len(vd_traces) == 0:
+    offsets = traces.offset_bytes[traces.group_rows("vd_id", vd_id)]
+    if offsets.size == 0:
         return None
-    blocks = _block_ids(vd_traces.offset_bytes, block_bytes)
+    blocks = _block_ids(offsets, block_bytes)
     ids, counts = np.unique(blocks, return_counts=True)
     best = int(np.argmax(counts))
     return HottestBlock(
         vd_id=vd_id,
         block_bytes=block_bytes,
         block_index=int(ids[best]),
-        access_rate=float(counts[best] / len(vd_traces)),
+        access_rate=float(counts[best] / offsets.size),
         lba_share=min(1.0, block_bytes / capacity_bytes),
         num_accesses=int(counts[best]),
     )

@@ -78,7 +78,7 @@ def latency_gain(
     blocks = find_cacheable_blocks(traces, fleet, config)
     if not blocks:
         return None
-    vd_ids = np.fromiter(blocks.keys(), dtype=np.int64)
+    vd_ids = np.array(sorted(blocks), dtype=np.int64)
     mask = np.isin(traces.vd_id, vd_ids)
     op = int(OpKind.WRITE) if direction == "write" else int(OpKind.READ)
     mask &= traces.op == op
@@ -86,8 +86,10 @@ def latency_gain(
         return None
     subset = traces.where(mask)
 
-    starts = np.array([blocks[int(vd)].start_byte for vd in subset.vd_id])
-    ends = np.array([blocks[int(vd)].end_byte for vd in subset.vd_id])
+    # Each traced IO's block, looked up in the sorted vd_id -> block table.
+    row = np.searchsorted(vd_ids, subset.vd_id)
+    starts = np.array([blocks[vd].start_byte for vd in vd_ids.tolist()])[row]
+    ends = np.array([blocks[vd].end_byte for vd in vd_ids.tolist()])[row]
     hits = (subset.offset_bytes >= starts) & (subset.offset_bytes < ends)
 
     without = subset.latency_us

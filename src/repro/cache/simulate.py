@@ -71,12 +71,12 @@ def simulate_vd_caches(
 ) -> "Dict[int, Dict[str, float]] | None":
     """:func:`simulate_vd_cache` for several block sizes at once.
 
-    Slicing the fleet-sized dataset down to one VD and preparing its page
-    stream (time sort, duplicate compression, previous-occurrence index)
-    both cost more than a single replay — doing them once per VD instead
-    of once per (VD, block size, policy) is where the array-based
-    replay's fleet-scale speedup comes from.  Returns ``{block_bytes:
-    {policy: hit_ratio}}``, or None when the VD has no traced IOs.
+    Preparing a VD's page stream (time sort, duplicate compression,
+    previous-occurrence index) costs more than a single replay — doing
+    it once per VD instead of once per (VD, block size, policy) is where
+    the array-based replay's fleet-scale speedup comes from.  Returns
+    ``{block_bytes: {policy: hit_ratio}}``, or None when the VD has no
+    traced IOs.
     """
     vd_traces = traces.for_vd(vd_id)
     if len(vd_traces) == 0:
@@ -84,9 +84,7 @@ def simulate_vd_caches(
     prepared = prepare_pages(pages_in_time_order(vd_traces))
     out: "Dict[int, Dict[str, float]]" = {}
     for block_bytes in block_bytes_list:
-        block = hottest_block(
-            traces, vd_id, block_bytes, capacity_bytes, vd_traces=vd_traces
-        )
+        block = hottest_block(traces, vd_id, block_bytes, capacity_bytes)
         capacity_pages = max(1, block_bytes // PAGE_BYTES)
         caches: Dict[str, Cache] = {
             "fifo": FifoCache(capacity_pages),

@@ -7,9 +7,10 @@ BlockServer compacts the file — rewriting only the live data — which is
 the background GC the paper mentions and a second-order reason write
 balance matters (GC multiplies the write traffic a BS carries).
 
-:class:`SegmentFile` tracks live/garbage bytes per segment under logical
-writes; :class:`GarbageCollector` triggers compaction when the garbage
-ratio crosses a threshold and accounts the resulting write amplification:
+:func:`simulate_gc` replays a trace's writes against per-segment
+live/garbage accounting, triggers compaction when a segment's garbage
+ratio crosses a threshold, and accounts the resulting write
+amplification:
 
     WA = (user bytes + GC-rewritten bytes) / user bytes
 
@@ -52,66 +53,6 @@ class GcConfig:
             raise ConfigError("extent_bytes must be positive")
 
 
-class SegmentFile:
-    """Live/garbage accounting of one append-only segment file.
-
-    Tracks which logical extents currently hold live data; a write to an
-    extent that is already live turns the old copy into garbage.  All byte
-    figures are extent-rounded.
-    """
-
-    def __init__(self, segment_id: int, config: GcConfig = GcConfig()):
-        self.segment_id = segment_id
-        self.config = config
-        self._live: set = set()  # extent indices holding live data
-        self._garbage_extents = 0
-        self._appended_extents = 0
-
-    @property
-    def live_bytes(self) -> int:
-        return len(self._live) * self.config.extent_bytes
-
-    @property
-    def garbage_bytes(self) -> int:
-        return self._garbage_extents * self.config.extent_bytes
-
-    @property
-    def appended_bytes(self) -> int:
-        return self._appended_extents * self.config.extent_bytes
-
-    @property
-    def file_bytes(self) -> int:
-        """Physical file size: live data plus not-yet-collected garbage."""
-        return self.live_bytes + self.garbage_bytes
-
-    @property
-    def garbage_ratio(self) -> float:
-        size = self.file_bytes
-        return self.garbage_bytes / size if size else 0.0
-
-    def write(self, offset: int, size: int) -> None:
-        """Apply one logical write: append extents, invalidate old copies."""
-        if size <= 0 or offset < 0:
-            raise SimulationError("writes need positive size, offset >= 0")
-        extent_bytes = self.config.extent_bytes
-        first = offset // extent_bytes
-        last = (offset + size - 1) // extent_bytes
-        touched = range(first, last + 1)
-        self._garbage_extents += len(self._live.intersection(touched))
-        self._live.update(touched)
-        self._appended_extents += len(touched)
-
-    def compact(self) -> int:
-        """Rewrite live data, dropping all garbage; returns bytes rewritten."""
-        rewritten = self.live_bytes
-        self._garbage_extents = 0
-        return rewritten
-
-    @property
-    def needs_compaction(self) -> bool:
-        return self.garbage_ratio >= self.config.garbage_threshold
-
-
 @dataclass
 class GcStats:
     """Aggregate GC accounting over a replay."""
@@ -131,36 +72,6 @@ class GcStats:
         ) / self.user_write_bytes
 
 
-class GarbageCollector:
-    """Threshold-driven compaction over a set of segment files."""
-
-    def __init__(self, config: GcConfig = GcConfig()):
-        self.config = config
-        self._files: Dict[int, SegmentFile] = {}
-        self.stats = GcStats()
-
-    def file(self, segment_id: int) -> SegmentFile:
-        if segment_id not in self._files:
-            self._files[segment_id] = SegmentFile(segment_id, self.config)
-        return self._files[segment_id]
-
-    def write(self, segment_id: int, offset: int, size: int) -> None:
-        """Apply a logical write and compact if the threshold is crossed."""
-        segment = self.file(segment_id)
-        segment.write(offset, size)
-        self.stats.user_write_bytes += size
-        if segment.needs_compaction:
-            rewritten = segment.compact()
-            self.stats.gc_rewritten_bytes += rewritten
-            self.stats.compactions += 1
-            self.stats.per_segment_rewrites[segment_id] = (
-                self.stats.per_segment_rewrites.get(segment_id, 0) + rewritten
-            )
-
-    def segments(self) -> List[int]:
-        return sorted(self._files)
-
-
 def simulate_gc(
     traces: TraceDataset, config: GcConfig = GcConfig()
 ) -> GcStats:
@@ -168,17 +79,103 @@ def simulate_gc(
 
     Offsets are segment-relative'd by the trace's segment ids, so the
     per-segment garbage profiles reflect each segment's own rewrite
-    behaviour (the hottest blocks dominate).
+    behaviour (the hottest blocks dominate).  Writes apply in timestamp
+    order, and the result equals a write-by-write replay
+    (``tests/oracles/gc.py``), computed per segment as arrays:
+
+    - a write's garbage is the extents it touches that were live before,
+      i.e. not touched for the first time, counted from one
+      ``np.unique`` over (segment, extent) pairs;
+    - live extents only grow (compaction keeps them), so after write
+      ``i`` a segment holds ``L_i`` live extents and ``G_i - G_c``
+      garbage extents, where ``G`` counts garbage since the segment's
+      first write and ``c`` is its last compaction;
+    - the next compaction is the first write with ``(G_i - G_c) /
+      (L_i + G_i - G_c) >= threshold``.  A running max of ``(1 -
+      threshold) * G - threshold * L`` jumps to the first write that can
+      cross, and the exact ratio test confirms it.
     """
-    gc = GarbageCollector(config)
     order = np.argsort(traces.timestamp, kind="stable")
-    ops = traces.op[order]
-    segments = traces.segment_id[order]
-    offsets = traces.offset_bytes[order]
-    sizes = traces.size_bytes[order]
-    writes = ops == int(OpKind.WRITE)
-    for seg, off, size in zip(
-        segments[writes], offsets[writes], sizes[writes]
+    writes = order[traces.op[order] == int(OpKind.WRITE)]
+    # Group by segment; the stable sort keeps each segment's time order,
+    # and ``time_rank`` maps a grouped write back to its place in time.
+    time_rank = np.argsort(traces.segment_id[writes], kind="stable")
+    writes = writes[time_rank]
+    segments = traces.segment_id[writes]
+    offsets = traces.offset_bytes[writes]
+    sizes = traces.size_bytes[writes]
+    stats = GcStats(user_write_bytes=int(sizes.sum()))
+    if not sizes.size:
+        return stats
+    if np.any(sizes <= 0) or np.any(offsets < 0):
+        raise SimulationError("writes need positive size, offset >= 0")
+    extent_bytes = config.extent_bytes
+    theta = config.garbage_threshold
+
+    first = offsets // extent_bytes
+    touched = (offsets + sizes - 1) // extent_bytes - first + 1
+    pair_write = np.repeat(np.arange(sizes.size), touched)
+    pair_extent = (
+        first[pair_write]
+        + np.arange(pair_write.size)
+        - np.repeat(np.cumsum(touched) - touched, touched)
+    )
+    seg_ids, seg_start, seg_rank = np.unique(
+        segments, return_index=True, return_inverse=True
+    )
+    span = int(pair_extent.max()) + 1
+    _, first_touch = np.unique(
+        seg_rank[pair_write] * span + pair_extent, return_index=True
+    )
+    fresh = np.bincount(pair_write[first_touch], minlength=sizes.size)
+    seg_end = np.append(seg_start[1:], sizes.size)
+    # Per-segment running sums: global cumsums less the segment's base.
+    live = np.cumsum(fresh)
+    garbage = np.cumsum(touched - fresh)
+    base_index = np.repeat(seg_start, seg_end - seg_start)
+    live -= live[base_index] - fresh[base_index]
+    garbage -= garbage[base_index] - (touched - fresh)[base_index]
+
+    headroom = (1.0 - theta) * garbage - theta * live
+    slack = 1e-9 * (1.0 + float(garbage.max()) + float(live.max()))
+    # Only segments whose headroom ever nears zero can compact at all.
+    can = np.maximum.reduceat(headroom, seg_start) >= -slack
+
+    def crosses(rows: np.ndarray, base: int) -> np.ndarray:
+        g = (garbage[rows] - base) * extent_bytes
+        size = live[rows] * extent_bytes + g
+        return g / size >= theta
+
+    compactions: "List[tuple[int, int, int]]" = []  # (time, seg, bytes)
+    for seg, a, b in zip(
+        seg_ids[can].tolist(), seg_start[can].tolist(), seg_end[can].tolist()
     ):
-        gc.write(int(seg), int(off), int(size))
-    return gc.stats
+        peak = np.maximum.accumulate(headroom[a:b])
+        base = 0
+        pos = 0
+        while pos < b - a:
+            at = pos + int(
+                np.searchsorted(peak[pos:], (1.0 - theta) * base - slack)
+            )
+            if at == b - a:
+                break
+            if not crosses(np.array([a + at]), base)[0]:
+                hits = np.flatnonzero(crosses(np.arange(a + at, b), base))
+                if not hits.size:
+                    break
+                at += int(hits[0])
+            compactions.append((
+                int(time_rank[a + at]), seg,
+                int(live[a + at]) * extent_bytes,
+            ))
+            base = int(garbage[a + at])
+            pos = at + 1
+
+    # In time order, so segments enter the per-segment map in the order
+    # of their first compaction, as in the write-by-write replay.
+    rewrites = stats.per_segment_rewrites
+    for _, seg, rewritten in sorted(compactions):
+        stats.gc_rewritten_bytes += rewritten
+        stats.compactions += 1
+        rewrites[seg] = rewrites.get(seg, 0) + rewritten
+    return stats

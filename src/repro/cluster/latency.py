@@ -90,6 +90,67 @@ class LatencyModel:
             jitter[tails] *= cfg.tail_multiplier
         return jitter
 
+    def draw(
+        self,
+        rng: np.random.Generator,
+        is_write: np.ndarray,
+        size_bytes: np.ndarray,
+    ) -> np.ndarray:
+        """A batch's random part: one ``(5, n)`` row per component.
+
+        The five jitter draws come in :data:`COMPONENTS` order whatever
+        the utilization.  The rows of the two load-dependent components
+        (``compute``, ``block_server``) hold their jitter factors; the
+        other three need no load, so their rows hold finished latencies
+        (us).  :meth:`combine` adds the loads.
+        """
+        cfg = self.config
+        is_write = np.asarray(is_write, dtype=bool)
+        size_mib = np.asarray(size_bytes, dtype=float) / MiB
+        transfer_net = size_mib * cfg.network_us_per_mib
+        drawn = np.empty((len(self.COMPONENTS), is_write.size))
+        for row in drawn:
+            row[:] = self._jitter(rng, is_write.size)
+        drawn[1] = (cfg.frontend_base_us + transfer_net) * drawn[1]
+        backend_cost = cfg.backend_base_us + transfer_net
+        drawn[3] = np.where(
+            is_write, backend_cost * cfg.write_replication_factor, backend_cost
+        ) * drawn[3]
+        chunk_base = np.where(
+            is_write,
+            cfg.chunk_server_write_base_us,
+            cfg.chunk_server_read_base_us + size_mib * cfg.media_us_per_mib,
+        )
+        drawn[4] = chunk_base * drawn[4]
+        return drawn
+
+    def combine(
+        self,
+        drawn: np.ndarray,
+        wt_utilization: np.ndarray,
+        bs_utilization: np.ndarray,
+    ) -> "dict[str, np.ndarray]":
+        """Latency arrays (us) from :meth:`draw`'s rows and the loads.
+
+        The load-free components are ``drawn``'s rows themselves.
+        """
+        cfg = self.config
+        return {
+            "compute": (
+                cfg.compute_base_us
+                * self._queueing(wt_utilization)
+                * drawn[0]
+            ),
+            "frontend": drawn[1],
+            "block_server": (
+                cfg.block_server_base_us
+                * self._queueing(bs_utilization)
+                * drawn[2]
+            ),
+            "backend": drawn[3],
+            "chunk_server": drawn[4],
+        }
+
     def sample(
         self,
         rng: np.random.Generator,
@@ -112,37 +173,7 @@ class LatencyModel:
             raise ConfigError("latency inputs must have equal lengths")
         if n == 0:
             return {name: np.zeros(0) for name in self.COMPONENTS}
-        cfg = self.config
-        size_mib = size / MiB
-        transfer_net = size_mib * cfg.network_us_per_mib
-        transfer_media = size_mib * cfg.media_us_per_mib
-
-        compute = (
-            cfg.compute_base_us * self._queueing(wt_u) * self._jitter(rng, n)
-        )
-        frontend = (cfg.frontend_base_us + transfer_net) * self._jitter(rng, n)
-        block_server = (
-            cfg.block_server_base_us
-            * self._queueing(bs_u)
-            * self._jitter(rng, n)
-        )
-        backend_cost = cfg.backend_base_us + transfer_net
-        backend = np.where(
-            is_write, backend_cost * cfg.write_replication_factor, backend_cost
-        ) * self._jitter(rng, n)
-        chunk_base = np.where(
-            is_write,
-            cfg.chunk_server_write_base_us,
-            cfg.chunk_server_read_base_us + transfer_media,
-        )
-        chunk_server = chunk_base * self._jitter(rng, n)
-        return {
-            "compute": compute,
-            "frontend": frontend,
-            "block_server": block_server,
-            "backend": backend,
-            "chunk_server": chunk_server,
-        }
+        return self.combine(self.draw(rng, is_write, size), wt_u, bs_u)
 
     def cached_latency(
         self,

@@ -21,9 +21,13 @@ table.  It is *bit-identical* to the scalar per-VD/per-QP loops kept as
 the test oracle in ``tests/oracles/pass1.py`` (same multiplication
 operands, same accumulation order, same row order).
 
-Pass 2 (sampled traces) draws per-VD random streams from label-keyed child
-RNGs, so it can optionally fan out over a ``ProcessPoolExecutor`` without
-changing any output: results are seed-stable regardless of worker count.
+Pass 2 (sampled traces) is a draw step and a resolve step.  The draw
+step takes each VD's samples from its own label-keyed child RNGs, so it
+can optionally fan out over a ``ProcessPoolExecutor`` without changing
+any output: results are seed-stable regardless of worker count.  The
+resolve step turns a DC's (or VD batch's) draws into trace columns with
+array operations; an in-memory run keeps its draws
+(:class:`TraceDraws`) so a re-simulation only resolves them.
 
 One code path runs every simulation.  It reads the offered traffic from a
 :class:`TrafficSource`, cut along time into shards and along the VD axis
@@ -43,7 +47,7 @@ import abc
 import contextlib
 import copy
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,6 +167,56 @@ class SimulationResult:
     #: Failure attribution; None for failure-free runs, so every existing
     #: dataset, schema, and digest is untouched when no plan is given.
     faults: "Optional[FaultOutcome]" = None
+    #: Pass 2's random draws, which a re-simulation of this DC resolves
+    #: instead of drawing again; None for a streamed run.
+    draws: "Optional[TraceDraws]" = None
+
+
+@dataclass
+class TraceDraws:
+    """Pass 2's random draws for a run's VDs, concatenated in fleet order.
+
+    Everything drawn from the per-VD ``trace/vd{id}`` and
+    ``trace-sampler/vd{id}`` streams: sampled counts, issue seconds and
+    timestamps, sizes, offsets, QP choices and the latency draws
+    (:meth:`LatencyModel.draw`).  None of it depends on bindings, loads,
+    redundancy, read policy or the fault plan, so a re-simulation of
+    the same fleet and traffic resolves these draws instead of drawing
+    them again.  Per-IO arrays are read-only: the trace dataset of the
+    run that drew them shares ``sizes``, ``offsets``, ``timestamps`` and
+    the three load-free latency rows.
+    """
+
+    duration_seconds: int
+    vd_ids: np.ndarray      # (V,) the VDs, fleet order
+    n_read: np.ndarray      # (V,) sampled reads; a VD's reads come first
+    n_write: np.ndarray     # (V,) sampled writes
+    seconds: np.ndarray     # (N,) issue second (narrow unsigned int)
+    timestamps: np.ndarray  # (N,)
+    sizes: np.ndarray       # (N,) bytes
+    offsets: np.ndarray     # (N,) bytes
+    qp_index: np.ndarray    # (N,) QP within its VD (narrow unsigned int)
+    latency: np.ndarray     # (5, N) LatencyModel.draw rows
+
+    def __post_init__(self) -> None:
+        for name in (
+            "seconds", "timestamps", "sizes", "offsets", "qp_index", "latency",
+        ):
+            getattr(self, name).flags.writeable = False
+
+    @classmethod
+    def concat(cls, parts: "Sequence[TraceDraws]") -> "TraceDraws":
+        """Chunks' draws, in order, as one."""
+        if len(parts) == 1:
+            return parts[0]
+        names = [f.name for f in fields(cls)][1:]
+        return cls(
+            parts[0].duration_seconds,
+            *(
+                np.concatenate([getattr(p, name) for p in parts], axis=-1)
+                for name in names
+            ),
+        )
 
 
 class _ColumnBuffer:
@@ -238,6 +292,12 @@ class _EntityArrays:
     seg_vd: np.ndarray
     seg_vm: np.ndarray
     seg_user: np.ndarray
+    vd_user: np.ndarray
+    vd_vm: np.ndarray
+    vd_node: np.ndarray
+    vd_first_qp: np.ndarray
+    vd_first_segment: np.ndarray
+    vd_num_segments: np.ndarray
 
 
 def stack_series(
@@ -397,20 +457,22 @@ def _engine_span(source: TrafficSource, name: str, **labels):
     return contextlib.nullcontext()
 
 
-def _trace_chunk_worker(
-    payload: "tuple[EBSSimulator, Sequence[VdTraffic], np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]",
-) -> "tuple[List[Optional[Dict[str, np.ndarray]]], Optional[dict]]":
-    """Module-level worker: per-VD trace columns for one chunk of VDs.
+def _pass2_chunk_worker(
+    payload: "tuple[EBSSimulator, Sequence[VdTraffic], np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, bool]",
+) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]], Optional[TraceDraws], Optional[dict]]":
+    """Module-level worker: draw and resolve one chunk of VDs.
 
     Runs in a child process; a store-backed chunk reads its own VD
     batch there.  Each VD draws only from its own label-keyed RNG
     streams, so the output is identical no matter how VDs are
-    partitioned over workers.  When the parent runs with telemetry
-    enabled, the worker installs a fresh handle and ships its snapshot
-    back for a deterministic merge (second tuple element, else None).
+    partitioned over workers.  Returns the chunk's columns and fault
+    stats, its draws when ``keep_draws`` (an in-memory run keeps them),
+    and, when the parent runs with telemetry enabled, the snapshot of a
+    fresh handle for a deterministic merge (else None).
     """
     (
-        simulator, chunk, qp_to_wt, seg_to_bs, wt_load, bs_load, telemetry_on,
+        simulator, chunk, qp_to_wt, seg_to_bs, wt_load, bs_load,
+        keep_draws, telemetry_on,
     ) = payload
     telemetry = None
     previous = None
@@ -423,16 +485,18 @@ def _trace_chunk_worker(
             dc=simulator.fleet.config.dc_id,
             vds=len(chunk),
         ):
-            columns = [
-                simulator._trace_columns_for_vd(
-                    vd_traffic, qp_to_wt, seg_to_bs, wt_load, bs_load
-                )
-                for vd_traffic in chunk
-            ]
+            columns, fault_stats, draws = simulator._pass2_chunk(
+                chunk, qp_to_wt, seg_to_bs, wt_load, bs_load
+            )
     finally:
         if telemetry is not None:
             set_telemetry(previous)
-    return columns, telemetry.snapshot() if telemetry is not None else None
+    return (
+        columns,
+        fault_stats,
+        draws if keep_draws else None,
+        telemetry.snapshot() if telemetry is not None else None,
+    )
 
 
 class EBSSimulator:
@@ -527,6 +591,13 @@ class EBSSimulator:
             (vd.vm_id for vd in fleet.vds), dtype=np.int64,
             count=len(fleet.vds),
         )
+
+        def per_vd(value) -> np.ndarray:
+            return np.fromiter(
+                (value(vd) for vd in fleet.vds), dtype=np.int64,
+                count=len(fleet.vds),
+            )
+
         self._entities = _EntityArrays(
             qp_vd=qp_vd,
             qp_vm=qp_vm,
@@ -535,6 +606,12 @@ class EBSSimulator:
             seg_vd=seg_vd,
             seg_vm=vd_vm[seg_vd],
             seg_user=vd_user[seg_vd],
+            vd_user=vd_user,
+            vd_vm=vd_vm,
+            vd_node=per_vd(lambda vd: fleet.vms[vd.vm_id].compute_node_id),
+            vd_first_qp=per_vd(lambda vd: vd.first_qp_id),
+            vd_first_segment=per_vd(lambda vd: vd.first_segment_id),
+            vd_num_segments=per_vd(lambda vd: vd.num_segments),
         )
         return self._entities
 
@@ -1011,6 +1088,7 @@ class EBSSimulator:
         self,
         workers: int = 1,
         traffic: "Optional[Sequence[VdTraffic] | TrafficSource]" = None,
+        draws: "Optional[TraceDraws]" = None,
     ) -> SimulationResult:
         """Execute the simulation and build all three datasets.
 
@@ -1030,7 +1108,9 @@ class EBSSimulator:
         of generating it.  Redundancy, read policy and fault plan do not
         enter traffic generation, the RNG streams are label-keyed, and
         no pass reads state the run could have changed, so the result is
-        identical to one that generates its own traffic.
+        identical to one that generates its own traffic.  With that
+        run's pass-2 ``draws`` too (in-memory traffic only), pass 2 only
+        resolves them.
         """
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -1049,7 +1129,7 @@ class EBSSimulator:
             with telemetry.span("sim.workload", dc=dc, vds=len(fleet.vds)):
                 traffic = generator.generate_all()
         source = self._source(traffic)
-        self._check_traffic(source)
+        self._check_traffic(source, draws)
 
         qp_to_wt, seg_to_bs = self.bindings(hypervisors, storage)
         if self._redundancy is not None:
@@ -1066,8 +1146,9 @@ class EBSSimulator:
         )
 
         with telemetry.span("sim.pass2", dc=dc, workers=workers):
-            traces, trace_fault_stats = self._run_pass2(
-                source, qp_to_wt, seg_to_bs, wt_load, bs_load, workers
+            traces, trace_fault_stats, draws = self._run_pass2(
+                source, qp_to_wt, seg_to_bs, wt_load, bs_load, workers,
+                draws=draws,
             )
 
         specs = SpecDataset(
@@ -1095,10 +1176,14 @@ class EBSSimulator:
             wt_load_bps=wt_load,
             bs_load_bps=bs_load,
             faults=faults,
+            draws=draws,
         )
 
-    def _check_traffic(self, source: TrafficSource) -> None:
-        """Reject traffic that cannot belong to this fleet/horizon."""
+    def _check_traffic(
+        self, source: TrafficSource, draws: "Optional[TraceDraws]" = None
+    ) -> None:
+        """Reject traffic (or draws) that cannot belong to this
+        fleet/horizon."""
         num_vds = len(self.fleet.vds)
         if len(source) != num_vds:
             raise ConfigError(
@@ -1108,6 +1193,16 @@ class EBSSimulator:
         if source.duration_seconds != horizon:
             raise ConfigError(
                 f"traffic spans {source.duration_seconds} s, the run "
+                f"{horizon} s"
+            )
+        if draws is None:
+            return
+        if source.streamed:
+            raise ConfigError("pass-2 draws need in-memory traffic")
+        if draws.vd_ids.size != num_vds or draws.duration_seconds != horizon:
+            raise ConfigError(
+                f"draws cover {draws.vd_ids.size} VDs over "
+                f"{draws.duration_seconds} s, the run {num_vds} VDs over "
                 f"{horizon} s"
             )
 
@@ -1269,125 +1364,223 @@ class EBSSimulator:
             stats,
         )
 
-    def _trace_columns_for_vd(
+    def _draw(self, traffic: "Sequence[VdTraffic]") -> TraceDraws:
+        """The pass-2 draws of ``traffic``'s VDs, in its (fleet) order.
+
+        Each VD draws only from its own ``trace/vd{id}`` and
+        ``trace-sampler/vd{id}`` streams, so the draws do not depend on
+        how VDs are chunked or which process draws them.
+        """
+        cfg = self.config
+        t = cfg.duration_seconds
+        fleet = self.fleet
+        num = len(traffic)
+        vd_ids = np.empty(num, dtype=np.int64)
+        n_read = np.zeros(num, dtype=np.int64)
+        n_write = np.zeros(num, dtype=np.int64)
+        parts: "List[tuple[np.ndarray, ...]]" = []
+        widest = 0  # most QPs of any VD
+        for row, vd_traffic in enumerate(traffic):
+            vd = fleet.vds[vd_traffic.vd_id]
+            vd_ids[row] = vd.vd_id
+            widest = max(widest, vd.num_queue_pairs)
+            sampler = TraceSampler(
+                cfg.trace_sampling_rate,
+                self._rngs.get(f"trace-sampler/vd{vd.vd_id}"),
+            )
+            read_counts = sampler.sample_counts(
+                np.round(vd_traffic.read_iops).astype(np.int64)
+            )
+            write_counts = sampler.sample_counts(
+                np.round(vd_traffic.write_iops).astype(np.int64)
+            )
+            n_read[row] = read_counts.sum()
+            n_write[row] = write_counts.sum()
+            n = int(n_read[row] + n_write[row])
+            if n == 0:
+                continue
+            rng = self._rngs.get(f"trace/vd{vd.vd_id}")
+            seconds = np.concatenate(
+                [
+                    np.repeat(np.arange(t), read_counts),
+                    np.repeat(np.arange(t), write_counts),
+                ]
+            )
+            is_write = np.zeros(n, dtype=bool)
+            is_write[n_read[row]:] = True
+            timestamps = seconds + rng.random(n)
+            mean_size = np.where(
+                is_write,
+                vd_traffic.mean_write_size_bytes,
+                vd_traffic.mean_read_size_bytes,
+            )
+            sizes = np.clip(
+                mean_size * rng.lognormal(0.0, 0.35, size=n),
+                _MIN_IO_BYTES,
+                _MAX_IO_BYTES,
+            ).astype(np.int64)
+            # Draw from a copy: the model's cursors advance as it draws,
+            # and the traffic must stay reusable by later runs.
+            offsets = copy.copy(vd_traffic.lba_model).draw_offsets(
+                rng, is_write, vd_traffic.hot_fraction_series[seconds]
+            )
+            qp_read_p = _normalized_probabilities(
+                vd_traffic.qp_read_weights, f"vd {vd.vd_id} qp read weights"
+            )
+            qp_write_p = _normalized_probabilities(
+                vd_traffic.qp_write_weights,
+                f"vd {vd.vd_id} qp write weights",
+            )
+            qp_index = np.where(
+                is_write,
+                rng.choice(vd.num_queue_pairs, size=n, p=qp_write_p),
+                rng.choice(vd.num_queue_pairs, size=n, p=qp_read_p),
+            )
+            latency = self.latency_model.draw(rng, is_write, sizes)
+            parts.append(
+                (seconds, timestamps, sizes, offsets, qp_index, latency)
+            )
+        if parts:
+            columns = [
+                np.concatenate(column, axis=-1) for column in zip(*parts)
+            ]
+        else:
+            columns = [np.zeros(0, dtype=np.int64), np.zeros(0)]
+            columns += [np.zeros(0, dtype=np.int64)] * 3
+            columns.append(np.zeros((len(LatencyModel.COMPONENTS), 0)))
+        # Kept for the run's lifetime, so the two small-valued columns
+        # take the narrowest integer type that holds them.
+        columns[0] = columns[0].astype(np.min_scalar_type(max(t - 1, 0)))
+        columns[4] = columns[4].astype(np.min_scalar_type(widest))
+        return TraceDraws(t, vd_ids, n_read, n_write, *columns)
+
+    def _compute_faults(
         self,
-        vd_traffic: VdTraffic,
+        draws: TraceDraws,
+        traffic: "Sequence[VdTraffic]",
+        qp_ids: np.ndarray,
+        is_write: np.ndarray,
+        fault_stats: Dict[str, int],
+    ) -> "tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]":
+        """QP stalls on the draws: ``(seconds, qp_index, keep)``.
+
+        Only VDs with a stalled IO are visited, each with its own
+        ``fault/vd{id}`` stream, in fleet order; the draws stay
+        untouched (the arrays are copied when a stall hits).
+        """
+        timeline = self._timeline
+        seconds = draws.seconds
+        qp_index = draws.qp_index
+        stalled = timeline.qp_stalled_at(qp_ids, seconds)
+        if not stalled.any():
+            return seconds, qp_index, None
+        seconds = seconds.copy()
+        # int64 as the per-VD step adds it to a QP id.
+        qp_index = qp_index.astype(np.int64)
+        keep = np.ones(seconds.size, dtype=bool)
+        bounds = np.concatenate(([0], np.cumsum(draws.n_read + draws.n_write)))
+        rows = np.unique(
+            np.searchsorted(bounds, np.flatnonzero(stalled), side="right") - 1
+        )
+        for row in rows.tolist():
+            a, b = int(bounds[row]), int(bounds[row + 1])
+            vd = self.fleet.vds[int(draws.vd_ids[row])]
+            frng = self._rngs.get(f"fault/vd{vd.vd_id}")
+            out_s, out_q, out_keep, cstats = timeline.trace_compute_faults(
+                vd, traffic[row], frng, seconds[a:b], qp_index[a:b],
+                is_write[a:b],
+            )
+            seconds[a:b] = out_s
+            qp_index[a:b] = out_q
+            if out_keep is not None:
+                keep[a:b] = out_keep
+            merge_trace_stats(fault_stats, cstats)
+        return seconds, qp_index, keep
+
+    def _resolve(
+        self,
+        draws: TraceDraws,
+        traffic: "Sequence[VdTraffic]",
         qp_to_wt: np.ndarray,
         seg_to_bs: np.ndarray,
         wt_load: np.ndarray,
         bs_load: np.ndarray,
-    ) -> "Optional[Dict[str, np.ndarray]]":
-        """Trace columns (sans trace_id) for one VD; None if nothing sampled.
+    ) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]]]":
+        """Trace columns (sans ``trace_id``) and fault stats of ``draws``.
 
-        Every random draw comes from RNG streams keyed by this VD's id, so
-        the result does not depend on which process (or in which order)
-        generates it.
+        Vectorized over every IO of a DC or VD batch: the binding and
+        segment gathers, the serving-copy choice, storage faults, loads,
+        latency combine, degrade multipliers, retries and keep masks act
+        element by element exactly as the per-VD loop
+        (``tests/oracles/pass2.py``) did.  The per-VD streams that remain
+        (``redundancy/vd{id}`` copy choices and ``fault/vd{id}`` stall
+        redirects) are drawn VD by VD in fleet order.  ``traffic`` is the
+        VDs of ``draws``, in order.  Columns are None when nothing was
+        sampled.
         """
         fleet = self.fleet
         cfg = self.config
-        t = cfg.duration_seconds
         dc = fleet.config.dc_id
-        bs_per_node = fleet.config.block_servers_per_node
-        segment_bytes = fleet.config.segment_bytes
-
-        vd = fleet.vds[vd_traffic.vd_id]
-        vm = fleet.vms[vd.vm_id]
-        rng = self._rngs.get(f"trace/vd{vd.vd_id}")
-        sampler = TraceSampler(
-            cfg.trace_sampling_rate,
-            self._rngs.get(f"trace-sampler/vd{vd.vd_id}"),
-        )
-
-        read_counts = sampler.sample_counts(
-            np.round(vd_traffic.read_iops).astype(np.int64)
-        )
-        write_counts = sampler.sample_counts(
-            np.round(vd_traffic.write_iops).astype(np.int64)
-        )
-        n_read = int(read_counts.sum())
-        n_write = int(write_counts.sum())
-        n = n_read + n_write
+        ent = self._entity_arrays()
+        counts = draws.n_read + draws.n_write
         telemetry = get_telemetry()
         if telemetry.enabled:
-            # Accumulated from array totals (never per element); all values
-            # are integers, so per-worker merges are exact in any order.
-            telemetry.counter("sim.traces.ios", dc=dc, op="read").inc(n_read)
-            telemetry.counter("sim.traces.ios", dc=dc, op="write").inc(n_write)
-            telemetry.histogram("sim.traces.ios_per_vd", dc=dc).observe(n)
+            # Integer-valued, so per-worker merges are exact in any order.
+            telemetry.counter("sim.traces.ios", dc=dc, op="read").inc(
+                int(draws.n_read.sum())
+            )
+            telemetry.counter("sim.traces.ios", dc=dc, op="write").inc(
+                int(draws.n_write.sum())
+            )
+            telemetry.histogram("sim.traces.ios_per_vd", dc=dc).observe_many(
+                counts
+            )
+        n = int(counts.sum())
         if n == 0:
-            return None
+            return None, None
+        io_vd = np.repeat(draws.vd_ids, counts)
+        is_write = np.repeat(
+            np.tile([False, True], counts.size),
+            np.column_stack((draws.n_read, draws.n_write)).ravel(),
+        )
+        first_qp = ent.vd_first_qp[io_vd]
+        seconds = draws.seconds
+        qp_index = draws.qp_index
+        timestamps = draws.timestamps
 
-        seconds = np.concatenate(
-            [
-                np.repeat(np.arange(t), read_counts),
-                np.repeat(np.arange(t), write_counts),
-            ]
-        )
-        is_write = np.zeros(n, dtype=bool)
-        is_write[n_read:] = True
-        timestamps = seconds + rng.random(n)
-
-        mean_size = np.where(
-            is_write,
-            vd_traffic.mean_write_size_bytes,
-            vd_traffic.mean_read_size_bytes,
-        )
-        sizes = np.clip(
-            mean_size * rng.lognormal(0.0, 0.35, size=n),
-            _MIN_IO_BYTES,
-            _MAX_IO_BYTES,
-        ).astype(np.int64)
-
-        hot_fraction = vd_traffic.hot_fraction_series[seconds]
-        # Draw from a copy: the model's cursors advance as it draws, and
-        # the traffic must stay reusable by later runs.
-        offsets = copy.copy(vd_traffic.lba_model).draw_offsets(
-            rng, is_write, hot_fraction
-        )
-
-        qp_read_p = _normalized_probabilities(
-            vd_traffic.qp_read_weights, f"vd {vd.vd_id} qp read weights"
-        )
-        qp_write_p = _normalized_probabilities(
-            vd_traffic.qp_write_weights, f"vd {vd.vd_id} qp write weights"
-        )
-        qp_index = np.where(
-            is_write,
-            rng.choice(vd.num_queue_pairs, size=n, p=qp_write_p),
-            rng.choice(vd.num_queue_pairs, size=n, p=qp_read_p),
-        )
-
-        # ---- fault application (separate label-keyed stream) ---------------
-        # All base-stream draws above are unconditional, so a no-fault plan
+        # ---- faults: per-VD streams, never the trace streams -----------
+        # The draws are unconditional, so a plan without effect
         # reproduces the failure-free trace dataset bit for bit.
         timeline = self._timeline
+        faulty = timeline is not None and timeline.has_any_effect
         fault_stats: Optional[Dict[str, int]] = None
         keep: Optional[np.ndarray] = None
         retries: Optional[np.ndarray] = None
-        frac = timestamps - seconds
-        if timeline is not None and timeline.has_any_effect:
+        if faulty:
             fault_stats = empty_trace_stats()
             fault_stats["total_ios"] = n
-            frng = self._rngs.get(f"fault/vd{vd.vd_id}")
-            seconds, qp_index, keep, cstats = timeline.trace_compute_faults(
-                vd, vd_traffic, frng, seconds, qp_index, is_write
+            seconds, qp_index, keep = self._compute_faults(
+                draws, traffic, first_qp + qp_index, is_write, fault_stats
             )
-            merge_trace_stats(fault_stats, cstats)
 
-        qp_ids = vd.first_qp_id + qp_index
+        qp_ids = first_qp + qp_index
         wt_ids = qp_to_wt[qp_ids]
-
-        seg_index = np.minimum(offsets // segment_bytes, vd.num_segments - 1)
-        seg_ids = vd.first_segment_id + seg_index
+        seg_index = np.minimum(
+            draws.offsets // fleet.config.segment_bytes,
+            ent.vd_num_segments[io_vd] - 1,
+        )
+        seg_ids = ent.vd_first_segment[io_vd] + seg_index
         exp = self._expansion if self._redundancy is not None else None
         if exp is None:
             bs_ids = seg_to_bs[seg_ids]
         else:
-            # Draw each read's serving copy from the policy's per-segment
-            # weights (separate label-keyed stream, so the base trace
-            # draws above stay untouched); writes pin to the primary.
-            rrng = self._rngs.get(f"redundancy/vd{vd.vd_id}")
-            u = rrng.random(n)
+            # Each read's serving copy comes from the policy's per-segment
+            # weights (its VD's own stream); writes pin to the primary.
+            u = np.concatenate([
+                self._rngs.get(f"redundancy/vd{vd}").random(count)
+                for vd, count in zip(draws.vd_ids.tolist(), counts.tolist())
+                if count
+            ])
             cum = exp.read_cum[seg_ids]
             slots = np.minimum(
                 (u[:, None] >= cum).sum(axis=1), exp.width - 1
@@ -1395,7 +1588,7 @@ class EBSSimulator:
             slots[is_write] = 0
             bs_ids = exp.table[seg_ids, slots]
 
-        if timeline is not None and timeline.has_any_effect:
+        if faulty:
             if exp is None:
                 bs_ids, seconds, skeep, retries, sstats = (
                     timeline.trace_storage_faults(bs_ids, seconds, alive=keep)
@@ -1411,15 +1604,13 @@ class EBSSimulator:
             merge_trace_stats(fault_stats, sstats)
             if skeep is not None:
                 keep = skeep if keep is None else keep & skeep
-            timestamps = seconds + frac
+            timestamps = seconds + (draws.timestamps - draws.seconds)
 
         wt_u = wt_load[wt_ids, seconds] / cfg.wt_capacity_bps
         bs_u = bs_load[bs_ids, seconds] / cfg.bs_capacity_bps
-        latencies = self.latency_model.sample(
-            rng, is_write, sizes, wt_u, bs_u
-        )
+        latencies = self.latency_model.combine(draws.latency, wt_u, bs_u)
 
-        if timeline is not None and timeline.has_degrade:
+        if faulty and timeline.has_degrade:
             degraded = np.zeros(n, dtype=bool)
             for component in LatencyModel.COMPONENTS:
                 series = timeline.multiplier_series(component)
@@ -1441,17 +1632,17 @@ class EBSSimulator:
 
         columns = dict(
             op=is_write.astype(np.int64),
-            size_bytes=sizes,
-            offset_bytes=offsets,
-            user_id=np.full(n, vd.user_id),
-            vm_id=np.full(n, vd.vm_id),
-            vd_id=np.full(n, vd.vd_id),
+            size_bytes=draws.sizes,
+            offset_bytes=draws.offsets,
+            user_id=ent.vd_user[io_vd],
+            vm_id=ent.vd_vm[io_vd],
+            vd_id=io_vd,
             qp_id=qp_ids,
             wt_id=wt_ids,
-            compute_node_id=np.full(n, vm.compute_node_id),
+            compute_node_id=ent.vd_node[io_vd],
             segment_id=seg_ids,
             block_server_id=bs_ids,
-            storage_node_id=bs_ids // bs_per_node,
+            storage_node_id=bs_ids // fleet.config.block_servers_per_node,
             timestamp=timestamps,
             lat_compute_us=latencies["compute"],
             lat_frontend_us=latencies["frontend"],
@@ -1463,9 +1654,25 @@ class EBSSimulator:
             # Dropped IOs leave the trace dataset; they are counted in the
             # fault stats (never both recorded and dropped).
             columns = {name: values[keep] for name, values in columns.items()}
-        if fault_stats is not None:
-            columns["_fault"] = fault_stats  # popped by _collect_trace_columns
-        return columns
+        return columns, fault_stats
+
+    def _pass2_chunk(
+        self,
+        chunk: "Sequence[VdTraffic]",
+        qp_to_wt: np.ndarray,
+        seg_to_bs: np.ndarray,
+        wt_load: np.ndarray,
+        bs_load: np.ndarray,
+        draws: "Optional[TraceDraws]" = None,
+    ) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]], TraceDraws]":
+        """Draw a chunk of VDs (unless ``draws`` are given) and resolve it."""
+        traffic = list(chunk)
+        if draws is None:
+            draws = self._draw(traffic)
+        columns, fault_stats = self._resolve(
+            draws, traffic, qp_to_wt, seg_to_bs, wt_load, bs_load
+        )
+        return columns, fault_stats, draws
 
     def _run_pass2(
         self,
@@ -1475,53 +1682,66 @@ class EBSSimulator:
         wt_load: np.ndarray,
         bs_load: np.ndarray,
         workers: int,
-    ) -> "tuple[TraceDataset, Optional[Dict[str, int]]]":
-        """Sampled traces over the source's VD chunks, in fleet order."""
+        draws: "Optional[TraceDraws]" = None,
+    ) -> "tuple[TraceDataset, Optional[Dict[str, int]], Optional[TraceDraws]]":
+        """Sampled traces over the source's VD chunks, in fleet order.
+
+        Each chunk is drawn, then resolved; given ``draws`` (an earlier
+        in-memory run's), the whole DC is only resolved.  Returns the
+        traces, the fault stats and the run's draws: None for a
+        streamed source, which draws batch by batch and keeps nothing.
+        """
         telemetry = get_telemetry()
         dc = self.fleet.config.dc_id
-        chunks = source.pass2_chunks(workers)
-        if workers == 1 or len(chunks) < 2:
-            def columns_in_order():
+        loads = (qp_to_wt, seg_to_bs, wt_load, bs_load)
+        keep_draws = not source.streamed
+        if draws is not None:
+            parts = [
+                self._pass2_chunk(source.materialize(), *loads, draws=draws)
+            ]
+        else:
+            chunks = source.pass2_chunks(workers)
+            if workers == 1 or len(chunks) < 2:
+                parts = []
                 for batch, chunk in enumerate(chunks):
                     with _engine_span(
                         source, "engine.pass2.batch", dc=dc, batch=batch
                     ):
-                        for vd_traffic in chunk:
-                            yield self._trace_columns_for_vd(
-                                vd_traffic, qp_to_wt, seg_to_bs,
-                                wt_load, bs_load,
-                            )
-            return self._collect_trace_columns(columns_in_order())
-
-        payloads = [
-            (
-                self, chunk, qp_to_wt, seg_to_bs, wt_load, bs_load,
-                telemetry.enabled,
-            )
-            for chunk in chunks
-        ]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(payloads))
-        ) as pool:
-            chunk_results = list(pool.map(_trace_chunk_worker, payloads))
-        # Merge worker telemetry in chunk (VD) order: counters and
-        # histogram buckets are integer-valued, so the merged metrics
-        # are byte-identical to the sequential run's.
-        for _, snapshot in chunk_results:
-            telemetry.merge_snapshot(snapshot)
-        return self._collect_trace_columns(
-            columns for chunk, _ in chunk_results for columns in chunk
-        )
+                        columns, stats, drawn = self._pass2_chunk(
+                            chunk, *loads
+                        )
+                    parts.append(
+                        (columns, stats, drawn if keep_draws else None)
+                    )
+            else:
+                payloads = [
+                    (self, chunk, *loads, keep_draws, telemetry.enabled)
+                    for chunk in chunks
+                ]
+                with ProcessPoolExecutor(
+                    max_workers=min(workers, len(payloads))
+                ) as pool:
+                    outcomes = list(pool.map(_pass2_chunk_worker, payloads))
+                # Merge worker telemetry in chunk (VD) order: counters and
+                # histogram buckets are integer-valued, so the merged
+                # metrics are byte-identical to the sequential run's.
+                for *_, snapshot in outcomes:
+                    telemetry.merge_snapshot(snapshot)
+                parts = [outcome[:3] for outcome in outcomes]
+            if keep_draws:
+                draws = TraceDraws.concat([drawn for *_, drawn in parts])
+        traces, fault_stats = self._collect_trace_columns(parts)
+        return traces, fault_stats, draws
 
     def _collect_trace_columns(
-        self, columns_in_order
+        self, parts
     ) -> "tuple[TraceDataset, Optional[Dict[str, int]]]":
-        """Assemble per-VD trace columns (in fleet VD order) into a dataset.
+        """Assemble resolved chunks (in fleet VD order) into a dataset.
 
-        Assigns the global ``trace_id`` sequence, folds per-VD fault stats,
-        and records the sampled-trace counter.  Columns arrive in fleet
-        order from any chunking, so the dataset is identical however the
-        VDs were partitioned.
+        Assigns the global ``trace_id`` sequence, folds the chunks' fault
+        stats, and records the sampled-trace counter.  Chunks arrive in
+        fleet order from any chunking, so the dataset is identical
+        however the VDs were partitioned.
         """
         cfg = self.config
         telemetry = get_telemetry()
@@ -1530,14 +1750,13 @@ class EBSSimulator:
         )
         next_trace_id = 0
         fault_stats: Optional[Dict[str, int]] = None
-        for columns in columns_in_order:
-            if columns is None:
-                continue
-            per_vd_stats = columns.pop("_fault", None)
-            if per_vd_stats is not None:
+        for columns, chunk_stats, _ in parts:
+            if chunk_stats is not None:
                 if fault_stats is None:
                     fault_stats = empty_trace_stats()
-                merge_trace_stats(fault_stats, per_vd_stats)
+                merge_trace_stats(fault_stats, chunk_stats)
+            if columns is None:
+                continue
             n = columns["op"].size
             if n:
                 buffer.append(

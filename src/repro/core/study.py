@@ -261,15 +261,16 @@ class Study:
 
         ``redundancy`` and ``read_policy`` default to the study's own;
         ``fault_plan`` is the plan for this run (None is fault-free).
-        The run reuses ``result``'s fleet and offered traffic instead of
-        generating them again: none of these settings enters traffic
-        generation, so the outcome equals a fresh
-        :class:`EBSSimulator` run with the same seed.  A streamed study's
-        traffic is its shard store: the run streams from that store
-        shard by shard, as the build did, instead of materializing it.
-        When the settings
-        are the ones ``result`` was built with (fault-free, single-copy
-        under any read policy), ``result`` itself is returned.
+        The run reuses ``result``'s fleet, offered traffic and pass-2
+        draws instead of generating them again: none of these settings
+        enters traffic generation or those draws, so the outcome equals
+        a fresh :class:`EBSSimulator` run with the same seed.  A
+        streamed study's traffic is its shard store: the run streams
+        from that store shard by shard, as the build did, instead of
+        materializing it, and draws pass 2 again batch by batch.  When
+        the settings are the ones ``result`` was built with (fault-free,
+        single-copy under any read policy), ``result`` itself is
+        returned.
         """
         own = self.config.simulation_config()
         sim_config = replace(
@@ -291,7 +292,7 @@ class Study:
             self.rngs,
             fault_plan=fault_plan,
         )
-        return simulator.run(traffic=result.traffic)
+        return simulator.run(traffic=result.traffic, draws=result.draws)
 
     def run(self, experiment_id: str) -> ExperimentResult:
         """Execute one experiment by its table/figure id (cached)."""

@@ -243,6 +243,12 @@ class FaultTimeline:
         """(T,) latency multiplier for a component; None when always 1."""
         return self._multipliers.get(component)
 
+    def qp_stalled_at(
+        self, qp_ids: np.ndarray, seconds: np.ndarray
+    ) -> np.ndarray:
+        """Per IO: whether its QP is stalled at its issue second."""
+        return self._qp_stalled_sec[qp_ids, seconds]
+
     def bs_down_at(self, bs_id: int, second: int) -> bool:
         return bool(self._bs_down_sec[bs_id, second])
 

@@ -18,9 +18,10 @@ Three pieces:
   probabilistic sampling (mirroring :mod:`repro.trace.sampling`) and a
   Chrome ``trace_event`` export for chrome://tracing / Perfetto.
 - :mod:`repro.obs.runtime` — the process-global :class:`Telemetry`
-  handle: disabled by default (no-op nulls, <= 2% overhead budget on the
-  perf benchmarks), installed per run via :func:`telemetry_session` or
-  the CLI's ``--telemetry PATH``.
+  handle: disabled by default (no-op nulls), installed per run via
+  :func:`telemetry_session` or the CLI's ``--telemetry PATH``.  What is
+  measured is the enabled mode: ``benchmarks/perf_gate.py`` holds the
+  median trace overhead of its perfbench runs at or below 25%.
 
 The live observability plane layers on top:
 

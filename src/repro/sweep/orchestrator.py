@@ -84,8 +84,10 @@ def _run_build_node(payload: Dict[str, Any]) -> Dict[str, Any]:
                     traffic=None if engine is None else engine.spill()
                 )
                 # The artifact outlives a streamed build's temp shard
-                # store: it pickles plain per-VD traffic.
+                # store: it pickles plain per-VD traffic, and no pass-2
+                # draws (a re-simulation draws again).
                 result.traffic = list(result.traffic)
+                result.draws = None
             finally:
                 if engine is not None:
                     engine.cleanup()

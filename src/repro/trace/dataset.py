@@ -67,6 +67,40 @@ class _ColumnarTable:
     def __len__(self) -> int:
         return self._length
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The group index is a cache: rebuilt on demand, never pickled.
+        state = dict(self.__dict__)
+        state.pop("_groups", None)
+        return state
+
+    def group_rows(self, key_field: str, key: int) -> np.ndarray:
+        """Row indices where ``key_field == key``, in row order.
+
+        Served from one stable argsort per key column, built on first
+        use and cached on the table (tables are never written in
+        place), so each lookup costs the group's rows, not the table's.
+        """
+        groups = self.__dict__.setdefault("_groups", {})
+        if key_field not in groups:
+            keys = getattr(self, key_field)
+            order = np.argsort(keys, kind="stable")
+            uniq, starts = np.unique(keys[order], return_index=True)
+            bounds = np.append(starts, keys.size)
+            if keys.size < np.iinfo(np.int32).max:
+                order = order.astype(np.int32)
+            groups[key_field] = (uniq, bounds, order)
+        uniq, bounds, order = groups[key_field]
+        i = int(np.searchsorted(uniq, key))
+        if i == uniq.size or uniq[i] != key:
+            return order[:0]
+        return order[bounds[i]:bounds[i + 1]]
+
+    def _subset(self, rows: np.ndarray) -> "_ColumnarTable":
+        """A new table of ``rows`` (a boolean mask or row indices)."""
+        return type(self)(
+            **{name: arr[rows] for name, arr in self.columns().items()}
+        )
+
     def columns(self) -> Dict[str, np.ndarray]:
         """All columns as a name -> array mapping (views, not copies)."""
         return {
@@ -81,9 +115,7 @@ class _ColumnarTable:
             raise DatasetError(
                 f"mask length {mask.size} != table length {self._length}"
             )
-        return type(self)(
-            **{name: arr[mask] for name, arr in self.columns().items()}
-        )
+        return self._subset(mask)
 
     def concat(self, other: "_ColumnarTable") -> "_ColumnarTable":
         """A new table with the rows of both tables."""
@@ -256,15 +288,10 @@ class TraceDataset(_ColumnarTable):
         super().__init__(**columns)
         self.sampling_rate = float(sampling_rate)
 
-    def where(self, mask: np.ndarray) -> "TraceDataset":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.size != len(self):
-            raise DatasetError(
-                f"mask length {mask.size} != table length {len(self)}"
-            )
+    def _subset(self, rows: np.ndarray) -> "TraceDataset":
         return TraceDataset(
             sampling_rate=self.sampling_rate,
-            **{name: arr[mask] for name, arr in self.columns().items()},
+            **{name: arr[rows] for name, arr in self.columns().items()},
         )
 
     def concat(self, other: "TraceDataset") -> "TraceDataset":
@@ -327,7 +354,12 @@ class TraceDataset(_ColumnarTable):
         return self.where(self.op == int(OpKind.WRITE))
 
     def for_vd(self, vd_id: int) -> "TraceDataset":
-        return self.where(self.vd_id == vd_id)
+        """The traces of one VD, in row order (``where(vd_id == vd_id)``)."""
+        return self._subset(self.group_rows("vd_id", vd_id))
+
+    def for_node(self, node_id: int) -> "TraceDataset":
+        """The traces issued on one compute node, in row order."""
+        return self._subset(self.group_rows("compute_node_id", node_id))
 
     def estimated_total_ios(self) -> float:
         """Estimated unsampled IO count (sampled count / sampling rate)."""

@@ -1,10 +1,17 @@
 """Tests for the append-only segment GC model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.gc import GarbageCollector, GcConfig, SegmentFile, simulate_gc
+from repro.cluster.gc import GcConfig, simulate_gc
+from repro.trace.dataset import TraceDataset
+from tests.oracles.gc import (
+    GarbageCollector,
+    SegmentFile,
+    reference_simulate_gc,
+)
 from repro.util.errors import ConfigError, SimulationError
 
 
@@ -165,8 +172,6 @@ class TestSegmentFileEdgeCases:
 
 
 def _empty_traces():
-    from repro.trace.dataset import TraceDataset
-
     return TraceDataset(
         **{
             name: []
@@ -216,3 +221,90 @@ class TestSimulateGc:
         assert stats.write_amplification >= 1.0
         # The hot rewrite pattern produces some garbage collection.
         assert stats.compactions >= 0
+
+
+def _writes(rows):
+    """A trace of ``(timestamp, segment, offset, size, is_write)`` rows."""
+    n = len(rows)
+    columns = {name: np.zeros(n, dtype=np.int64) for name in TraceDataset.INT_FIELDS}
+    columns.update({name: np.zeros(n) for name in TraceDataset.FLOAT_FIELDS})
+    if n:
+        ts, seg, off, size, op = (np.array(c) for c in zip(*rows))
+        columns.update(
+            timestamp=ts.astype(float), segment_id=seg, offset_bytes=off,
+            size_bytes=size, op=op.astype(np.int64),
+        )
+    return TraceDataset(**columns)
+
+
+def _accounting(stats):
+    return (
+        stats.user_write_bytes,
+        stats.gc_rewritten_bytes,
+        stats.compactions,
+        list(stats.per_segment_rewrites.items()),
+    )
+
+
+class TestSimulateGcOracle:
+    """The array replay equals the write-by-write oracle exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 20),
+                st.integers(0, 3),
+                st.integers(0, 1 << 17),
+                st.integers(1, 40_000),
+                st.booleans(),
+            ),
+            max_size=120,
+        ),
+        threshold=st.sampled_from([0.05, 0.25, 1 / 3, 0.5, 0.7, 0.95]),
+        extent=st.sampled_from([512, 4096, 65536]),
+    )
+    def test_matches_write_by_write_replay(self, rows, threshold, extent):
+        traces = _writes(rows)
+        config = GcConfig(garbage_threshold=threshold, extent_bytes=extent)
+        assert _accounting(simulate_gc(traces, config)) == _accounting(
+            reference_simulate_gc(traces, config)
+        )
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.25, 0.75])
+    def test_threshold_ties_compact(self, threshold):
+        # One extent rewritten over and over: the ratio lands exactly on
+        # 1/2, 1/4... of the file, so ties at the threshold must compact.
+        rows = [(t, 0, 0, 4096, True) for t in range(40)]
+        rows += [(t, 1, 4096 * (t % 3), 4096, True) for t in range(40)]
+        traces = _writes(rows)
+        config = GcConfig(garbage_threshold=threshold, extent_bytes=4096)
+        got = simulate_gc(traces, config)
+        assert got.compactions > 0
+        assert _accounting(got) == _accounting(
+            reference_simulate_gc(traces, config)
+        )
+
+    def test_segments_keep_first_compaction_order(self):
+        # Segment 7 compacts first in time, though segment 2 sorts first.
+        rows = [(0, 7, 0, 4096, True), (1, 7, 0, 4096, True)]
+        rows += [(2, 2, 0, 4096, True), (3, 2, 0, 4096, True)]
+        got = simulate_gc(_writes(rows), GcConfig(extent_bytes=4096))
+        assert list(got.per_segment_rewrites) == [7, 2]
+
+    def test_rejects_bad_writes(self):
+        with pytest.raises(SimulationError):
+            simulate_gc(_writes([(0, 0, 0, 0, True)]))
+
+    def test_on_simulated_traces(self, small_fleet, rngs):
+        from repro.cluster import EBSSimulator, SimulationConfig
+
+        result = EBSSimulator(
+            small_fleet,
+            SimulationConfig(duration_seconds=120, trace_sampling_rate=0.2),
+            rngs.child("gc"),
+        ).run()
+        for config in (GcConfig(), GcConfig(0.3, 4096)):
+            assert _accounting(simulate_gc(result.traces, config)) == (
+                _accounting(reference_simulate_gc(result.traces, config))
+            )

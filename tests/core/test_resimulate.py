@@ -155,6 +155,128 @@ class TestOtherSettings:
         assert _traffic_fingerprint(result.traffic) == before
 
 
+def _draws_fingerprint(draws) -> str:
+    h = hashlib.sha256()
+    for name, value in sorted(vars(draws).items()):
+        h.update(name.encode() + np.asarray(value).tobytes())
+    return h.hexdigest()
+
+
+DEGRADE = FaultEvent(
+    kind=FaultKind.DEGRADE, start_s=20, end_s=70, component="all",
+    multiplier=2.5,
+)
+CRASH = FaultEvent(kind=FaultKind.BS_CRASH, start_s=30, end_s=90, target=1)
+STALL = FaultEvent(kind=FaultKind.QP_STALL, start_s=10, end_s=60, target=3)
+
+
+class TestReusedDraws:
+    """A re-simulation resolves the build's pass-2 draws instead of
+    drawing them again, and still equals a fresh run."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return Study(tiny_config()).build()
+
+    @pytest.mark.parametrize(
+        "settings, events, policy",
+        [
+            (dict(redundancy="r=2", read_policy="least_loaded"), (), None),
+            (dict(redundancy="r=3", read_policy="power_of_two"), (), None),
+            (
+                dict(redundancy="ec=2+1", read_policy="least_loaded"),
+                (CRASH,),
+                RedirectPolicy.QUEUE,
+            ),
+            ({}, (CRASH, STALL, DEGRADE), RedirectPolicy.QUEUE),
+            ({}, (CRASH, STALL, DEGRADE), RedirectPolicy.REDIRECT),
+        ],
+        ids=["r2-least_loaded", "r3-power_of_two", "ec21-crash",
+             "queue-degrade", "redirect-degrade"],
+    )
+    def test_matches_a_fresh_run(self, built, settings, events, policy):
+        plan = FaultPlan(events=events, policy=policy) if events else None
+        for result in built.results:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    EBSSimulator, "_draw",
+                    lambda self, traffic: pytest.fail("pass 2 drew again"),
+                )
+                out = built.resimulate(result, fault_plan=plan, **settings)
+            fresh = _fresh(built, result, fault_plan=plan, **settings)
+            assert result_digest(out) == result_digest(fresh)
+            if plan is not None:
+                assert out.faults.to_dict() == fresh.faults.to_dict()
+            assert out.draws is result.draws
+
+    def test_draws_stay_byte_identical(self, built):
+        result = built.results[0]
+        before = _draws_fingerprint(result.draws)
+        built.resimulate(
+            result, fault_plan=FaultPlan(
+                events=(CRASH, STALL, DEGRADE), policy=RedirectPolicy.QUEUE
+            ),
+        )
+        built.resimulate(result, redundancy="r=3", read_policy="power_of_two")
+        assert _draws_fingerprint(result.draws) == before
+        assert not result.draws.offsets.flags.writeable
+
+    def test_the_built_dataset_shares_the_draws(self, built):
+        # Kept draws cost little beyond the trace dataset: the columns a
+        # fault-free single-chunk run passes through are the draws'.
+        for result in built.results:
+            traces, draws = result.traces, result.draws
+            for column, drawn in (
+                (traces.size_bytes, draws.sizes),
+                (traces.offset_bytes, draws.offsets),
+                (traces.timestamp, draws.timestamps),
+                (traces.lat_frontend_us, draws.latency[1]),
+                (traces.lat_backend_us, draws.latency[3]),
+                (traces.lat_chunk_server_us, draws.latency[4]),
+            ):
+                assert np.shares_memory(column, drawn)
+            assert draws.seconds.itemsize == 1 + (
+                built.config.duration_seconds > 256
+            )
+
+    def test_results_without_draws_draw_again(self, built):
+        result = built.results[1]
+        bare = replace(result, draws=None)
+        study = Study.from_results(
+            built.config, [built.results[0], bare]
+        )
+        out = study.resimulate(bare, redundancy="r=2")
+        assert out.draws is not None
+        want = built.resimulate(result, redundancy="r=2")
+        assert result_digest(out) == result_digest(want)
+        assert _draws_fingerprint(out.draws) == _draws_fingerprint(
+            result.draws
+        )
+
+    def test_parallel_build_returns_the_same_draws(self, built):
+        parallel = Study(tiny_config()).build(workers=2)
+        for mine, theirs in zip(parallel.results, built.results):
+            assert _draws_fingerprint(mine.draws) == _draws_fingerprint(
+                theirs.draws
+            )
+
+    def test_streamed_build_keeps_no_draws(self):
+        streamed = Study(tiny_config(), chunk_epochs=2).build()
+        try:
+            assert all(result.draws is None for result in streamed.results)
+        finally:
+            streamed.cleanup()
+
+    def test_foreign_draws_are_rejected(self, built):
+        result = built.results[0]
+        simulator = EBSSimulator(
+            result.fleet, built.config.simulation_config(), built.rngs
+        )
+        other_horizon = replace(result.draws, duration_seconds=60)
+        with pytest.raises(ConfigError, match="draws"):
+            simulator.run(traffic=result.traffic, draws=other_horizon)
+
+
 class TestStreamedStudy:
     """A streamed study re-simulates from its own shard store."""
 

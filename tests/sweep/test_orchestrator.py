@@ -14,6 +14,7 @@ from repro.api import run_experiment
 from repro.core import Study
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sweep import (
+    ArtifactStore,
     NodeKind,
     SweepError,
     SweepRunner,
@@ -142,6 +143,20 @@ class TestBuildInputs:
         )
         assert tables["r=2"].to_dict() == direct.to_dict()
         assert tables["r=1"].to_dict() != tables["r=2"].to_dict()
+
+    def test_build_artifacts_keep_no_pass2_draws(self, base_config, tmp_path):
+        """A cached build pickles its datasets and traffic, not the
+        pass-2 draws an in-memory study keeps for its re-simulations."""
+        spec = SweepSpec(base=base_config, axes={}, experiments=("table2",))
+        SweepRunner(spec, tmp_path).run()
+        store = ArtifactStore(tmp_path)
+        builds = [
+            store.get_blob(key) for key in store.keys()
+            if store.get(key)["kind"] == "build"
+        ]
+        assert len(builds) == len(base_config.dc_configs)
+        assert all(result.draws is None for result in builds)
+        assert all(len(result.traces) for result in builds)
 
 
 class TestSchedulers:
