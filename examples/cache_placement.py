@@ -15,7 +15,7 @@ from repro.cache import (
     cacheable_vd_counts,
     hottest_block,
     latency_gain,
-    simulate_vd_cache,
+    simulate_vd_caches,
 )
 from repro.cluster import EBSSimulator, LatencyModel, SimulationConfig
 from repro.util.rng import RngFactory
@@ -59,20 +59,22 @@ def main() -> None:
 
     print("\nCache hit ratios (median over busy VDs):")
     print(f"{'cache size':>10}  {'fifo':>6}  {'lru':>6}  {'frozen':>6}")
-    for size in (64 * MiB, 512 * MiB, 2048 * MiB):
-        hits = {"fifo": [], "lru": [], "frozen": []}
-        for vd_id in busy:
-            out = simulate_vd_cache(
-                traces, vd_id, size, fleet.vds[vd_id].capacity_bytes
-            )
-            if out:
-                for policy, value in out.items():
-                    hits[policy].append(value)
+    sizes = (64 * MiB, 512 * MiB, 2048 * MiB)
+    hits = {size: {"fifo": [], "lru": [], "frozen": []} for size in sizes}
+    for vd_id in busy:
+        # One call per VD prepares its page stream once for all sizes.
+        out = simulate_vd_caches(
+            traces, vd_id, sizes, fleet.vds[vd_id].capacity_bytes
+        )
+        for size, ratios in out.items():
+            for policy, value in ratios.items():
+                hits[size][policy].append(value)
+    for size in sizes:
         print(
             f"{size // MiB:>7}MiB  "
-            f"{np.median(hits['fifo']):>6.3f}  "
-            f"{np.median(hits['lru']):>6.3f}  "
-            f"{np.median(hits['frozen']):>6.3f}"
+            f"{np.median(hits[size]['fifo']):>6.3f}  "
+            f"{np.median(hits[size]['lru']):>6.3f}  "
+            f"{np.median(hits[size]['frozen']):>6.3f}"
         )
 
     model = LatencyModel()

@@ -82,12 +82,18 @@ class Study:
             raise ConfigError(
                 f"chunk_epochs must be >= 1, got {chunk_epochs}"
             )
-        if series_dtype != "float64" and chunk_epochs is None:
-            raise ConfigError(
-                f"series_dtype={series_dtype!r} applies only to a streamed "
-                "build (it sets the shard store's series dtype); pass "
-                "chunk_epochs or keep float64"
-            )
+        # Streaming-only options (name, value, default): a monolithic
+        # build would accept and then ignore them.
+        for name, value, default in (
+            ("series_dtype", series_dtype, "float64"),
+            ("shard_dir", shard_dir, None),
+            ("max_rss_mb", max_rss_mb, None),
+        ):
+            if value != default and chunk_epochs is None:
+                raise ConfigError(
+                    f"{name}={value!r} applies only to a streamed build; "
+                    "pass chunk_epochs or keep the default"
+                )
         #: ``None`` = monolithic build; an int streams each DC's
         #: simulation out-of-core in shards of that many epochs
         #: (byte-identical results; see :mod:`repro.engine`).

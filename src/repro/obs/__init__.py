@@ -5,7 +5,7 @@ tracer recording per-IO component latencies and full-volume
 second-granularity metrics.  This package dogfoods that philosophy onto
 the *analysis stack itself*: every study run can emit an auditable
 telemetry artifact (``telemetry.json``) describing what the pipeline did
-— records emitted, fast-path vs fallback decisions, per-stage wall
+— records emitted, cache pages replayed, per-stage wall
 clock, peak RSS — next to the results it produced.
 
 Three pieces:

@@ -2,8 +2,8 @@
 
 Dogfooding the paper's DiTing philosophy onto the reproduction pipeline
 itself: every run can emit full-volume counters describing what the
-analysis stack did (records emitted, fast-path vs fallback decisions,
-throttled seconds, sampled IOs) next to the results it produced.
+analysis stack did (records emitted, cache pages replayed, throttled
+seconds, sampled IOs) next to the results it produced.
 
 Design rules, enforced by convention and pinned by tests:
 

@@ -1,11 +1,12 @@
-"""Tests for FIFO, LRU, and frozen cache policies."""
+"""Tests for the FIFO, LRU, and frozen oracle caches."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import FifoCache, FrozenCache, LruCache
 from repro.util import ConfigError
+
+from tests.oracles.cache import FifoCache, FrozenCache, LruCache
 
 access_sequences = st.lists(st.integers(0, 30), min_size=1, max_size=300)
 

@@ -5,19 +5,18 @@ import pytest
 
 from repro.cache import (
     CachePlacementConfig,
-    FifoCache,
     cacheable_vd_counts,
     latency_gain,
-    simulate_vd_cache,
+    simulate_vd_caches,
 )
 from repro.cache.placement import find_cacheable_blocks
-from repro.cache.simulate import replay_trace
 from repro.cluster import EBSSimulator, LatencyModel, SimulationConfig
 from repro.util import ConfigError
 from repro.util.rng import RngFactory, spawn_rng
 from repro.util.units import MiB
 
 from tests.cache.test_hotspot import traces_with_hotspot
+from tests.oracles.cache import FifoCache, replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +44,18 @@ class TestReplayTrace:
 class TestSimulateVdCache:
     def test_returns_three_policies(self):
         traces = traces_with_hotspot()
-        out = simulate_vd_cache(traces, 0, MiB, 100 * MiB)
+        out = simulate_vd_caches(traces, 0, (MiB,), 100 * MiB)[MiB]
         assert set(out) == {"fifo", "lru", "frozen"}
         for value in out.values():
             assert 0.0 <= value <= 1.0
 
     def test_none_for_untraced_vd(self):
         traces = traces_with_hotspot()
-        assert simulate_vd_cache(traces, 99, MiB, 100 * MiB) is None
+        assert simulate_vd_caches(traces, 99, (MiB,), 100 * MiB) is None
 
     def test_frozen_anchored_at_hot_block(self):
         traces = traces_with_hotspot(n_hot=90, n_cold=10)
-        out = simulate_vd_cache(traces, 0, MiB, 100 * MiB)
+        out = simulate_vd_caches(traces, 0, (MiB,), 100 * MiB)[MiB]
         # 90% of accesses land in the frozen range.
         assert out["frozen"] == pytest.approx(0.9)
 

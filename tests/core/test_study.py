@@ -101,6 +101,17 @@ class TestStudy:
             Study(tiny_config(), series_dtype="float32")
         Study(tiny_config(), chunk_epochs=1, series_dtype="float32")
 
+    @pytest.mark.parametrize(
+        "option", [{"shard_dir": "shards"}, {"max_rss_mb": 64}]
+    )
+    def test_streaming_options_require_a_streamed_build(self, option):
+        # Without chunk_epochs the build is monolithic: a shard directory
+        # or memory ceiling would be silently ignored.
+        (name,) = option
+        with pytest.raises(ConfigError, match=name):
+            Study(tiny_config(), **option)
+        Study(tiny_config(), chunk_epochs=1, **option)
+
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
