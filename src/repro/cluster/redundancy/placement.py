@@ -18,7 +18,7 @@ Invariants (enforced on construction and on every mutation):
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -63,13 +63,21 @@ class PlacementMap:
         self._table = table.copy()
         self._num_bs = int(num_block_servers)
         self._check_table()
-        # BS -> set of (segment, slot) copies resident there.
-        self._resident: Dict[int, Set[Tuple[int, int]]] = {
-            bs: set() for bs in range(self._num_bs)
-        }
-        for seg in range(self._table.shape[0]):
-            for slot in range(self._table.shape[1]):
-                self._resident[int(self._table[seg, slot])].add((seg, slot))
+        # BS -> set of (segment, slot) copies resident there; built from
+        # the table on first use (most maps are only ever read by table).
+        self._resident_index: Optional[Dict[int, Set[Tuple[int, int]]]] = None
+
+    @property
+    def _resident(self) -> Dict[int, Set[Tuple[int, int]]]:
+        if self._resident_index is None:
+            index: Dict[int, Set[Tuple[int, int]]] = {
+                bs: set() for bs in range(self._num_bs)
+            }
+            for seg, row in enumerate(self._table.tolist()):
+                for slot, bs in enumerate(row):
+                    index[bs].add((seg, slot))
+            self._resident_index = index
+        return self._resident_index
 
     def _check_table(self) -> None:
         table = self._table
@@ -190,8 +198,9 @@ class PlacementMap:
                 f"copies must not co-locate"
             )
         self._table[seg, slot] = dest
-        self._resident[src].discard((seg, slot))
-        self._resident[dest].add((seg, slot))
+        if self._resident_index is not None:
+            self._resident_index[src].discard((seg, slot))
+            self._resident_index[dest].add((seg, slot))
         return src
 
     # -- invariants ----------------------------------------------------------

@@ -48,7 +48,7 @@ import contextlib
 import copy
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +88,8 @@ from repro.trace.dataset import (
     SpecDataset,
     StorageMetricTable,
     TraceDataset,
+    TraceLatency,
+    end_to_end_us,
 )
 from repro.trace.sampling import TraceSampler
 from repro.util.errors import ConfigError
@@ -102,6 +104,36 @@ _MAX_IO_BYTES = 4 * 1024 * 1024
 #: Upper bound on the number of (entity, second) cells materialized at once
 #: by the vectorized pass 1; keeps peak memory flat on huge fleets.
 _FAST_PASS_CHUNK_CELLS = 4 * 1024 * 1024
+
+#: The :class:`SimulationResult` fields a run computes only on request
+#: (``EBSSimulator.run(outputs=...)``); every other field is always set.
+OUTPUTS = frozenset({
+    "metrics",      # pass 1's metric tables
+    "wt_load_bps",  # pass 1's load grids
+    "bs_load_bps",
+    "traces",       # pass 2's trace dataset
+    "latency",      # pass 2's timestamps and end-to-end latency
+    "faults",       # the FaultOutcome (accounting, trace stats, windows)
+    "accounting",   # the fault plan's metric-domain mass accounting
+})
+
+
+def resolve_outputs(outputs: "Optional[Collection[str]]") -> "frozenset":
+    """``outputs`` as a set of :data:`OUTPUTS` names; None is all of them."""
+    if outputs is None:
+        return OUTPUTS
+    if isinstance(outputs, str):
+        raise ConfigError(
+            f"outputs must be a collection of names, got {outputs!r}"
+        )
+    wanted = frozenset(outputs)
+    unknown = wanted - OUTPUTS
+    if unknown:
+        raise ConfigError(
+            f"unknown simulation outputs {sorted(unknown)}; "
+            f"known: {sorted(OUTPUTS)}"
+        )
+    return wanted
 
 
 @dataclass(frozen=True)
@@ -152,24 +184,44 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Everything a study needs downstream of one simulator run."""
+    """Everything a study needs downstream of one simulator run.
+
+    The :data:`OUTPUTS` fields are None when the run was not asked for
+    them; a field that was asked for equals a full run's bit for bit.
+    """
 
     fleet: Fleet
     config: SimulationConfig
-    metrics: MetricDataset
-    traces: TraceDataset
+    metrics: "Optional[MetricDataset]"
+    traces: "Optional[TraceDataset]"
     specs: SpecDataset
     hypervisors: HypervisorSet
     storage: StorageCluster
     traffic: List[VdTraffic]
-    wt_load_bps: np.ndarray  # (num_wts, duration) total bytes/s per WT
-    bs_load_bps: np.ndarray  # (num_bs, duration) total bytes/s per BS
+    #: (num_wts, duration) total bytes/s per WT
+    wt_load_bps: "Optional[np.ndarray]"
+    #: (num_bs, duration) total bytes/s per BS
+    bs_load_bps: "Optional[np.ndarray]"
     #: Failure attribution; None for failure-free runs, so every existing
     #: dataset, schema, and digest is untouched when no plan is given.
     faults: "Optional[FaultOutcome]" = None
     #: Pass 2's random draws, which a re-simulation of this DC resolves
     #: instead of drawing again; None for a streamed run.
     draws: "Optional[TraceDraws]" = None
+    #: The traces' timestamps and end-to-end latency.
+    latency: "Optional[TraceLatency]" = None
+    #: ``faults.accounting`` (None for failure-free runs), which a run
+    #: can compute without either pass.
+    accounting: "Optional[FaultAccounting]" = None
+
+    def restricted(
+        self, outputs: "Optional[Collection[str]]"
+    ) -> "SimulationResult":
+        """This result with every output not in ``outputs`` set to None."""
+        dropped = OUTPUTS - resolve_outputs(outputs)
+        if not dropped:
+            return self
+        return replace(self, **{name: None for name in dropped})
 
 
 @dataclass
@@ -458,21 +510,22 @@ def _engine_span(source: TrafficSource, name: str, **labels):
 
 
 def _pass2_chunk_worker(
-    payload: "tuple[EBSSimulator, Sequence[VdTraffic], np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, bool]",
+    payload: "tuple[EBSSimulator, Sequence[VdTraffic], np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, bool, bool]",
 ) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]], Optional[TraceDraws], Optional[dict]]":
     """Module-level worker: draw and resolve one chunk of VDs.
 
     Runs in a child process; a store-backed chunk reads its own VD
     batch there.  Each VD draws only from its own label-keyed RNG
     streams, so the output is identical no matter how VDs are
-    partitioned over workers.  Returns the chunk's columns and fault
-    stats, its draws when ``keep_draws`` (an in-memory run keeps them),
-    and, when the parent runs with telemetry enabled, the snapshot of a
+    partitioned over workers.  Returns the chunk's columns (trace
+    columns, or only latency ones unless ``traces``) and fault stats,
+    its draws when ``keep_draws`` (an in-memory run keeps them), and,
+    when the parent runs with telemetry enabled, the snapshot of a
     fresh handle for a deterministic merge (else None).
     """
     (
         simulator, chunk, qp_to_wt, seg_to_bs, wt_load, bs_load,
-        keep_draws, telemetry_on,
+        traces, keep_draws, telemetry_on,
     ) = payload
     telemetry = None
     previous = None
@@ -486,7 +539,7 @@ def _pass2_chunk_worker(
             vds=len(chunk),
         ):
             columns, fault_stats, draws = simulator._pass2_chunk(
-                chunk, qp_to_wt, seg_to_bs, wt_load, bs_load
+                chunk, qp_to_wt, seg_to_bs, wt_load, bs_load, traces=traces
             )
     finally:
         if telemetry is not None:
@@ -729,7 +782,8 @@ class EBSSimulator:
         qp_to_wt: np.ndarray,
         seg_to_bs: np.ndarray,
         adjusted: "Optional[FaultAdjustedInputs]" = None,
-    ) -> "tuple[np.ndarray, np.ndarray, ComputeMetricTable, StorageMetricTable]":
+        tables: bool = True,
+    ) -> "tuple[np.ndarray, np.ndarray, Optional[ComputeMetricTable], Optional[StorageMetricTable]]":
         """Load grids + metric tables: pass 1 per time shard, then merge.
 
         A traffic list is one in-memory shard ``[0, T)``; a streamed
@@ -741,6 +795,9 @@ class EBSSimulator:
         ``adjusted`` carries precomputed fault-adjusted inputs (so
         :meth:`run` computes them once for both passes and the outcome);
         when omitted they are derived here from the simulator's plan.
+        Without ``tables`` only the grids are computed (the tables come
+        back None), through the same accumulation, so they are bitwise
+        the grids of a full pass.
         """
         # Deferred: the engine package imports this module.
         from repro.engine.merge import ShardPart, merge_shard_parts
@@ -769,12 +826,14 @@ class EBSSimulator:
                                 shard, self._pass1_arena
                             ) + weights,
                             t0=t0,
+                            tables=tables,
                         )
                     else:
                         outputs = self._pass1_fast(
                             qp_to_wt, seg_to_bs,
                             adjusted=_window_adjusted(adjusted, t0, t1),
                             t0=t0,
+                            tables=tables,
                         )
                     parts.append(ShardPart(t0, t1, *outputs))
                     del outputs
@@ -799,12 +858,13 @@ class EBSSimulator:
             return
         dc = self.fleet.config.dc_id
         telemetry.counter("sim.pass1.runs", dc=dc).inc()
-        telemetry.counter(
-            "sim.pass1.rows", dc=dc, table="compute"
-        ).inc(len(compute_table))
-        telemetry.counter(
-            "sim.pass1.rows", dc=dc, table="storage"
-        ).inc(len(storage_table))
+        if compute_table is not None:
+            telemetry.counter(
+                "sim.pass1.rows", dc=dc, table="compute"
+            ).inc(len(compute_table))
+            telemetry.counter(
+                "sim.pass1.rows", dc=dc, table="storage"
+            ).inc(len(storage_table))
         telemetry.gauge("sim.pass1.wt_grid_cells", dc=dc).set_max(
             int(wt_load.size)
         )
@@ -819,11 +879,14 @@ class EBSSimulator:
         adjusted: "Optional[FaultAdjustedInputs]" = None,
         stacked: "Optional[tuple]" = None,
         t0: int = 0,
-    ) -> "tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray], Dict[str, np.ndarray]]":
+        tables: bool = True,
+    ) -> "tuple[np.ndarray, np.ndarray, Optional[Dict[str, np.ndarray]], Optional[Dict[str, np.ndarray]]]":
         """Vectorized pass 1 over one time shard's (entity, second) matrices.
 
         Returns the WT and BS load-grid windows and the compute and
-        storage metric columns.
+        storage metric columns.  Without ``tables`` the columns are
+        None: only the byte series are gathered and scattered onto the
+        grids, and no record mask is built.
 
         :meth:`run_pass1` calls this once per shard: ``stacked``
         supplies ``(read_b, write_b, read_i, write_i, qp_rw, qp_ww,
@@ -935,36 +998,34 @@ class EBSSimulator:
             else:
                 np.add.at(load, targets, bw)
 
+        # The series pass 1 gathers: the IOPS pair only feeds the tables.
+        if adjusted is None:
+            series = (read_b, write_b, read_i, write_i)[:4 if tables else 2]
+
         def gather_scaled(
-            series: "tuple[np.ndarray, ...]",
-            rows: np.ndarray,
-            rw: np.ndarray,
-            ww: np.ndarray,
-        ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+            rows: np.ndarray, rw: np.ndarray, ww: np.ndarray
+        ) -> "List[np.ndarray]":
             """Fused ``series[rows] * weight`` into arena-backed buffers.
 
             Same elementwise gather + in-place scale the unfused code
-            ran (so every value is bit-identical); the four temporaries
-            live in reused arena slots instead of fresh allocations, and
+            ran (so every value is bit-identical); the temporaries live
+            in reused arena slots instead of fresh allocations, and
             ``np.take`` reads straight out of memmapped raw shards
-            without an intermediate copy.
+            without an intermediate copy.  Returns ``[rb, wb, ri, wi]``,
+            or ``[rb, wb]`` without tables.
             """
-            read_b, write_b, read_i, write_i = series
-            shape = (rows.size, read_b.shape[1])
-            sdtype = read_b.dtype
-            rb = arena.take("pass1.rb", shape, sdtype)
-            wb = arena.take("pass1.wb", shape, sdtype)
-            ri = arena.take("pass1.ri", shape, sdtype)
-            wi = arena.take("pass1.wi", shape, sdtype)
-            np.take(read_b, rows, axis=0, out=rb)
-            np.take(write_b, rows, axis=0, out=wb)
-            np.take(read_i, rows, axis=0, out=ri)
-            np.take(write_i, rows, axis=0, out=wi)
-            np.multiply(rb, rw, out=rb)
-            np.multiply(wb, ww, out=wb)
-            np.multiply(ri, rw, out=ri)
-            np.multiply(wi, ww, out=wi)
-            return rb, wb, ri, wi
+            out = []
+            for name, matrix, weight in zip(
+                ("rb", "wb", "ri", "wi"), series, (rw, ww, rw, ww)
+            ):
+                buf = arena.take(
+                    f"pass1.{name}", (rows.size, matrix.shape[1]),
+                    matrix.dtype,
+                )
+                np.take(matrix, rows, axis=0, out=buf)
+                np.multiply(buf, weight, out=buf)
+                out.append(buf)
+            return out
 
         def record_mask_fused(
             bw: np.ndarray, ri: np.ndarray, wi: np.ndarray
@@ -983,8 +1044,7 @@ class EBSSimulator:
         for start in range(0, num_qps, chunk):
             stop = min(start + chunk, num_qps)
             if adjusted is None:
-                rb, wb, ri, wi = gather_scaled(
-                    (read_b, write_b, read_i, write_i),
+                rb, wb, *iops = gather_scaled(
                     ent.qp_vd[start:stop],
                     qp_rw[start:stop, None],
                     qp_ww[start:stop, None],
@@ -992,13 +1052,15 @@ class EBSSimulator:
             else:
                 rb = adjusted.qp_rb[start:stop]
                 wb = adjusted.qp_wb[start:stop]
-                ri = adjusted.qp_ri[start:stop]
-                wi = adjusted.qp_wi[start:stop]
+                iops = [adjusted.qp_ri[start:stop], adjusted.qp_wi[start:stop]]
             bw = arena.take("pass1.bw", rb.shape, rb.dtype)
             np.add(rb, wb, out=bw)
             scatter_add(
                 wt_load, qp_to_wt[start:stop], bw, num_qps <= chunk
             )
+            if not tables:
+                continue
+            ri, wi = iops
             mask = record_mask_fused(bw, ri, wi)
             e, ts = np.nonzero(mask)
             if not e.size:
@@ -1023,8 +1085,7 @@ class EBSSimulator:
         for start in range(0, s_num, chunk):
             stop = min(start + chunk, s_num)
             if adjusted is None:
-                rb, wb, ri, wi = gather_scaled(
-                    (read_b, write_b, read_i, write_i),
+                rb, wb, *iops = gather_scaled(
                     s_vd[start:stop],
                     s_rw[start:stop, None],
                     s_ww[start:stop, None],
@@ -1032,8 +1093,9 @@ class EBSSimulator:
             else:
                 rb = adjusted.seg_rb[start:stop]
                 wb = adjusted.seg_wb[start:stop]
-                ri = adjusted.seg_ri[start:stop]
-                wi = adjusted.seg_wi[start:stop]
+                iops = [
+                    adjusted.seg_ri[start:stop], adjusted.seg_wi[start:stop]
+                ]
             bw = arena.take("pass1.bw", rb.shape, rb.dtype)
             np.add(rb, wb, out=bw)
             if adjusted is None:
@@ -1051,6 +1113,9 @@ class EBSSimulator:
                     (targets, np.broadcast_to(arange_t, targets.shape)),
                     bw,
                 )
+            if not tables:
+                continue
+            ri, wi = iops
             mask = record_mask_fused(bw, ri, wi)
             e, ts = np.nonzero(mask)
             if not e.size:
@@ -1077,6 +1142,8 @@ class EBSSimulator:
                 read_iops=ri[mask],
                 write_iops=wi[mask],
             )
+        if not tables:
+            return wt_load, bs_load, None, None
         return (
             wt_load, bs_load,
             compute_buf.concatenated(), storage_buf.concatenated(),
@@ -1089,6 +1156,7 @@ class EBSSimulator:
         workers: int = 1,
         traffic: "Optional[Sequence[VdTraffic] | TrafficSource]" = None,
         draws: "Optional[TraceDraws]" = None,
+        outputs: "Optional[Collection[str]]" = None,
     ) -> SimulationResult:
         """Execute the simulation and build all three datasets.
 
@@ -1111,7 +1179,18 @@ class EBSSimulator:
         identical to one that generates its own traffic.  With that
         run's pass-2 ``draws`` too (in-memory traffic only), pass 2 only
         resolves them.
+
+        ``outputs`` names the :data:`OUTPUTS` fields the caller reads
+        (None, the default, is all of them); the rest come back None,
+        and the run computes only what the named ones need.  Pass 1
+        runs for the grids and for pass 2, and emits its metric rows
+        only for ``metrics``; pass 2 runs for ``traces``, ``latency``
+        and ``faults``, and builds the trace dataset only for
+        ``traces``.  ``accounting`` alone needs neither pass.  Whatever
+        is computed is computed by the same operations as in a full
+        run, so every asked-for field is bitwise the full run's.
         """
+        wanted = resolve_outputs(outputs)
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         fleet = self.fleet
@@ -1137,27 +1216,43 @@ class EBSSimulator:
                 source, seg_to_bs, table=storage.placement.table_array()
             )
 
-        adjusted = self.fault_adjusted_inputs(source, qp_to_wt, seg_to_bs)
-        wt_load, bs_load, compute_table, storage_table = self.run_pass1(
-            source, qp_to_wt, seg_to_bs, adjusted=adjusted
+        need_pass2 = bool(wanted & {"traces", "latency", "faults"})
+        need_pass1 = need_pass2 or bool(
+            wanted & {"metrics", "wt_load_bps", "bs_load_bps"}
         )
-        metrics = MetricDataset(
-            compute=compute_table, storage=storage_table, duration_seconds=t
+        adjusted = (
+            self.fault_adjusted_inputs(source, qp_to_wt, seg_to_bs)
+            if need_pass1 or "accounting" in wanted
+            else None
         )
-
-        with telemetry.span("sim.pass2", dc=dc, workers=workers):
-            traces, trace_fault_stats, draws = self._run_pass2(
-                source, qp_to_wt, seg_to_bs, wt_load, bs_load, workers,
-                draws=draws,
+        metrics = traces = latency = trace_fault_stats = None
+        wt_load = bs_load = None
+        if need_pass1:
+            wt_load, bs_load, compute_table, storage_table = self.run_pass1(
+                source, qp_to_wt, seg_to_bs, adjusted=adjusted,
+                tables="metrics" in wanted,
             )
+            if compute_table is not None:
+                metrics = MetricDataset(
+                    compute=compute_table,
+                    storage=storage_table,
+                    duration_seconds=t,
+                )
+        if need_pass2:
+            with telemetry.span("sim.pass2", dc=dc, workers=workers):
+                traces, latency, trace_fault_stats, draws = self._run_pass2(
+                    source, qp_to_wt, seg_to_bs, wt_load, bs_load, workers,
+                    draws=draws, traces="traces" in wanted,
+                )
 
         specs = SpecDataset(
             vd_specs=[fleet.vd_spec(vd.vd_id) for vd in fleet.vds],
             vm_specs=[fleet.vm_spec(vm.vm_id) for vm in fleet.vms],
         )
 
-        faults = self._finalize_faults(
-            hypervisors, storage, adjusted, traces, trace_fault_stats
+        faults, accounting = self._finalize_faults(
+            hypervisors, storage, adjusted, latency, trace_fault_stats,
+            outcome="faults" in wanted,
         )
         if source.streamed and telemetry.enabled:
             telemetry.gauge("engine.peak_rss_bytes", dc=dc).set_max(
@@ -1177,7 +1272,9 @@ class EBSSimulator:
             bs_load_bps=bs_load,
             faults=faults,
             draws=draws,
-        )
+            latency=latency,
+            accounting=accounting,
+        ).restricted(wanted)
 
     def _check_traffic(
         self, source: TrafficSource, draws: "Optional[TraceDraws]" = None
@@ -1211,13 +1308,16 @@ class EBSSimulator:
         hypervisors: HypervisorSet,
         storage: StorageCluster,
         adjusted: "Optional[FaultAdjustedInputs]",
-        traces: TraceDataset,
+        latency: "Optional[TraceLatency]",
         trace_fault_stats: "Optional[Dict[str, int]]",
-    ) -> "Optional[FaultOutcome]":
+        outcome: bool = True,
+    ) -> "tuple[Optional[FaultOutcome], Optional[FaultAccounting]]":
         """Replay crash windows onto the stateful objects and attribute
-        failures; None for fault-free runs."""
+        failures: ``(outcome, accounting)``, both None for fault-free
+        runs.  The outcome (which needs pass 2's ``latency`` and stats)
+        is None too unless ``outcome``."""
         if self._timeline is None:
-            return None
+            return None, None
         telemetry = get_telemetry()
         with telemetry.span(
             "sim.faults.replay",
@@ -1225,22 +1325,23 @@ class EBSSimulator:
             events=len(self._timeline.events),
         ):
             self._replay_failures(hypervisors, storage)
+        accounting = (
+            adjusted.accounting if adjusted is not None else FaultAccounting()
+        )
+        if not outcome:
+            return None, accounting
         faults = FaultOutcome(
             plan=self._timeline.plan,
-            accounting=(
-                adjusted.accounting
-                if adjusted is not None
-                else FaultAccounting()
-            ),
+            accounting=accounting,
             trace_stats=(
                 trace_fault_stats
                 if trace_fault_stats is not None
                 else empty_trace_stats()
             ),
-            windows=compute_window_stats(self._timeline.plan, traces),
+            windows=compute_window_stats(self._timeline.plan, latency),
         )
         self._record_fault_telemetry(telemetry, faults)
-        return faults
+        return faults, accounting
 
     def _replay_failures(
         self, hypervisors: HypervisorSet, storage: StorageCluster
@@ -1505,6 +1606,7 @@ class EBSSimulator:
         seg_to_bs: np.ndarray,
         wt_load: np.ndarray,
         bs_load: np.ndarray,
+        traces: bool = True,
     ) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]]]":
         """Trace columns (sans ``trace_id``) and fault stats of ``draws``.
 
@@ -1516,7 +1618,8 @@ class EBSSimulator:
         (``redundancy/vd{id}`` copy choices and ``fault/vd{id}`` stall
         redirects) are drawn VD by VD in fleet order.  ``traffic`` is the
         VDs of ``draws``, in order.  Columns are None when nothing was
-        sampled.
+        sampled.  Without ``traces`` the columns are only the two
+        :class:`TraceLatency` fields, ``timestamp`` and ``total_us``.
         """
         fleet = self.fleet
         cfg = self.config
@@ -1630,26 +1733,34 @@ class EBSSimulator:
                 + retries * timeline.plan.retry_backoff_us
             )
 
-        columns = dict(
-            op=is_write.astype(np.int64),
-            size_bytes=draws.sizes,
-            offset_bytes=draws.offsets,
-            user_id=ent.vd_user[io_vd],
-            vm_id=ent.vd_vm[io_vd],
-            vd_id=io_vd,
-            qp_id=qp_ids,
-            wt_id=wt_ids,
-            compute_node_id=ent.vd_node[io_vd],
-            segment_id=seg_ids,
-            block_server_id=bs_ids,
-            storage_node_id=bs_ids // fleet.config.block_servers_per_node,
-            timestamp=timestamps,
-            lat_compute_us=latencies["compute"],
-            lat_frontend_us=latencies["frontend"],
-            lat_block_server_us=latencies["block_server"],
-            lat_backend_us=latencies["backend"],
-            lat_chunk_server_us=latencies["chunk_server"],
-        )
+        if traces:
+            columns = dict(
+                op=is_write.astype(np.int64),
+                size_bytes=draws.sizes,
+                offset_bytes=draws.offsets,
+                user_id=ent.vd_user[io_vd],
+                vm_id=ent.vd_vm[io_vd],
+                vd_id=io_vd,
+                qp_id=qp_ids,
+                wt_id=wt_ids,
+                compute_node_id=ent.vd_node[io_vd],
+                segment_id=seg_ids,
+                block_server_id=bs_ids,
+                storage_node_id=bs_ids // fleet.config.block_servers_per_node,
+                timestamp=timestamps,
+                lat_compute_us=latencies["compute"],
+                lat_frontend_us=latencies["frontend"],
+                lat_block_server_us=latencies["block_server"],
+                lat_backend_us=latencies["backend"],
+                lat_chunk_server_us=latencies["chunk_server"],
+            )
+        else:
+            columns = dict(
+                timestamp=timestamps,
+                total_us=end_to_end_us(
+                    *(latencies[c] for c in LatencyModel.COMPONENTS)
+                ),
+            )
         if keep is not None and not keep.all():
             # Dropped IOs leave the trace dataset; they are counted in the
             # fault stats (never both recorded and dropped).
@@ -1664,13 +1775,15 @@ class EBSSimulator:
         wt_load: np.ndarray,
         bs_load: np.ndarray,
         draws: "Optional[TraceDraws]" = None,
+        traces: bool = True,
     ) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]], TraceDraws]":
         """Draw a chunk of VDs (unless ``draws`` are given) and resolve it."""
         traffic = list(chunk)
         if draws is None:
             draws = self._draw(traffic)
         columns, fault_stats = self._resolve(
-            draws, traffic, qp_to_wt, seg_to_bs, wt_load, bs_load
+            draws, traffic, qp_to_wt, seg_to_bs, wt_load, bs_load,
+            traces=traces,
         )
         return columns, fault_stats, draws
 
@@ -1683,13 +1796,15 @@ class EBSSimulator:
         bs_load: np.ndarray,
         workers: int,
         draws: "Optional[TraceDraws]" = None,
-    ) -> "tuple[TraceDataset, Optional[Dict[str, int]], Optional[TraceDraws]]":
+        traces: bool = True,
+    ) -> "tuple[Optional[TraceDataset], TraceLatency, Optional[Dict[str, int]], Optional[TraceDraws]]":
         """Sampled traces over the source's VD chunks, in fleet order.
 
         Each chunk is drawn, then resolved; given ``draws`` (an earlier
         in-memory run's), the whole DC is only resolved.  Returns the
-        traces, the fault stats and the run's draws: None for a
-        streamed source, which draws batch by batch and keeps nothing.
+        traces (None unless ``traces``), their latency, the fault stats
+        and the run's draws: None for a streamed source, which draws
+        batch by batch and keeps nothing.
         """
         telemetry = get_telemetry()
         dc = self.fleet.config.dc_id
@@ -1697,7 +1812,9 @@ class EBSSimulator:
         keep_draws = not source.streamed
         if draws is not None:
             parts = [
-                self._pass2_chunk(source.materialize(), *loads, draws=draws)
+                self._pass2_chunk(
+                    source.materialize(), *loads, draws=draws, traces=traces
+                )
             ]
         else:
             chunks = source.pass2_chunks(workers)
@@ -1708,14 +1825,17 @@ class EBSSimulator:
                         source, "engine.pass2.batch", dc=dc, batch=batch
                     ):
                         columns, stats, drawn = self._pass2_chunk(
-                            chunk, *loads
+                            chunk, *loads, traces=traces
                         )
                     parts.append(
                         (columns, stats, drawn if keep_draws else None)
                     )
             else:
                 payloads = [
-                    (self, chunk, *loads, keep_draws, telemetry.enabled)
+                    (
+                        self, chunk, *loads, traces, keep_draws,
+                        telemetry.enabled,
+                    )
                     for chunk in chunks
                 ]
                 with ProcessPoolExecutor(
@@ -1730,23 +1850,29 @@ class EBSSimulator:
                 parts = [outcome[:3] for outcome in outcomes]
             if keep_draws:
                 draws = TraceDraws.concat([drawn for *_, drawn in parts])
-        traces, fault_stats = self._collect_trace_columns(parts)
-        return traces, fault_stats, draws
+        dataset, latency, fault_stats = self._collect_trace_columns(
+            parts, traces
+        )
+        return dataset, latency, fault_stats, draws
 
     def _collect_trace_columns(
-        self, parts
-    ) -> "tuple[TraceDataset, Optional[Dict[str, int]]]":
+        self, parts, traces: bool = True
+    ) -> "tuple[Optional[TraceDataset], TraceLatency, Optional[Dict[str, int]]]":
         """Assemble resolved chunks (in fleet VD order) into a dataset.
 
         Assigns the global ``trace_id`` sequence, folds the chunks' fault
         stats, and records the sampled-trace counter.  Chunks arrive in
         fleet order from any chunking, so the dataset is identical
-        however the VDs were partitioned.
+        however the VDs were partitioned.  Returns the dataset (None
+        unless ``traces``: the chunks then hold only latency columns),
+        its latency and the fault stats.
         """
         cfg = self.config
         telemetry = get_telemetry()
-        buffer = _ColumnBuffer(
-            TraceDataset.INT_FIELDS, TraceDataset.FLOAT_FIELDS
+        buffer = (
+            _ColumnBuffer(TraceDataset.INT_FIELDS, TraceDataset.FLOAT_FIELDS)
+            if traces
+            else _ColumnBuffer((), ("timestamp", "total_us"))
         )
         next_trace_id = 0
         fault_stats: Optional[Dict[str, int]] = None
@@ -1757,19 +1883,23 @@ class EBSSimulator:
                 merge_trace_stats(fault_stats, chunk_stats)
             if columns is None:
                 continue
-            n = columns["op"].size
-            if n:
+            n = columns["timestamp"].size
+            if n and traces:
                 buffer.append(
                     trace_id=np.arange(next_trace_id, next_trace_id + n),
                     **columns,
                 )
+            elif n:
+                buffer.append(**columns)
             next_trace_id += n
 
         if telemetry.enabled:
             telemetry.counter(
                 "sim.traces.sampled", dc=self.fleet.config.dc_id
             ).inc(next_trace_id)
+        if not traces:
+            return None, TraceLatency(**buffer.concatenated()), fault_stats
         dataset = TraceDataset(
             sampling_rate=cfg.trace_sampling_rate, **buffer.concatenated()
         )
-        return dataset, fault_stats
+        return dataset, TraceLatency.of(dataset), fault_stats

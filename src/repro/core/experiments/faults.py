@@ -61,7 +61,9 @@ def extra_faults_sweep(study) -> ExperimentResult:
                 policy=policy,
                 label=f"extra_faults/dc{dc_id}",
             )
-            outcome = study.resimulate(result, fault_plan=plan).faults
+            outcome = study.resimulate(
+                result, fault_plan=plan, outputs={"faults"}
+            ).faults
             acct = outcome.accounting
             delivered_pct = (
                 100.0 * acct.delivered_storage_ios / acct.offered_storage_ios

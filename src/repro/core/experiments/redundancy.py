@@ -38,18 +38,11 @@ def _fits(spec: str, num_block_servers: int) -> bool:
     return RedundancyConfig.parse(spec).width <= num_block_servers
 
 
-def _p99_latency_us(traces) -> float:
-    """P99 of the end-to-end per-IO latency (NaN with no traces)."""
-    if len(traces) == 0:
+def _p99_latency_us(latency) -> float:
+    """P99 of a run's end-to-end per-IO latency (NaN with no traces)."""
+    if len(latency) == 0:
         return float("nan")
-    total = (
-        traces.lat_compute_us
-        + traces.lat_frontend_us
-        + traces.lat_block_server_us
-        + traces.lat_backend_us
-        + traces.lat_chunk_server_us
-    )
-    return float(np.percentile(total, 99))
+    return float(np.percentile(latency.total_us, 99))
 
 
 @experiment(
@@ -85,13 +78,11 @@ def redundancy_cov(study) -> ExperimentResult:
                 )
                 continue
             out = study.resimulate(
-                result, redundancy=spec, read_policy=policy
+                result, redundancy=spec, read_policy=policy,
+                outputs={"bs_load_bps", "latency"},
             )
             totals = out.bs_load_bps.sum(axis=1)
-            p99_us = _p99_latency_us(out.traces)
-            # Release this rung's result before the next one is built:
-            # holding it would add a whole run to the next rung's peak.
-            del out
+            p99_us = _p99_latency_us(out.latency)
             cov = normalized_cov(totals)
             if spec.startswith("r="):
                 covs.append(cov)
@@ -170,16 +161,13 @@ def redundancy_faults(study) -> ExperimentResult:
                  float("nan"), "skipped: too few BS"]
             )
             continue
-        out = study.resimulate(
-            result, redundancy=spec, read_policy=policy, fault_plan=plan
-        )
-        faults = out.faults
-        # Only the fault outcome is read: release the rung's datasets
-        # before the next one is built.
-        del out
-        acct = faults.accounting
+        # Only the accounting is read, which needs neither pass.
+        acct = study.resimulate(
+            result, redundancy=spec, read_policy=policy, fault_plan=plan,
+            outputs={"accounting"},
+        ).accounting
         offered = max(acct.offered_storage_ios, 1.0)
-        storage_residual, compute_residual = faults.conservation_residual()
+        storage_residual, compute_residual = acct.conservation_residual()
         assert storage_residual / offered < 1e-6, "IO mass not conserved"
         assert compute_residual / max(
             acct.offered_compute_ios, 1.0

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from repro.cluster.simulator import (
     EBSSimulator,
     SimulationConfig,
     SimulationResult,
+    resolve_outputs,
 )
 from repro.core.config import StudyConfig
 from repro.core.report import ExperimentResult
@@ -262,6 +263,7 @@ class Study:
         redundancy: "Optional[str]" = None,
         read_policy: "Optional[str]" = None,
         fault_plan: "Optional[FaultPlan]" = None,
+        outputs: "Optional[Collection[str]]" = None,
     ) -> SimulationResult:
         """One DC of this study simulated again under other settings.
 
@@ -277,7 +279,13 @@ class Study:
         the settings are the ones ``result`` was built with (fault-free,
         single-copy under any read policy), ``result`` itself is
         returned.
+
+        ``outputs`` names the result fields the caller reads
+        (:data:`repro.cluster.simulator.OUTPUTS`; None is all of them):
+        the run computes only what those need, and the other fields
+        come back None (:meth:`EBSSimulator.run`).
         """
+        wanted = resolve_outputs(outputs)
         own = self.config.simulation_config()
         sim_config = replace(
             own,
@@ -291,14 +299,16 @@ class Study:
             and own.redundancy_config() is None
             and any(mine is result for mine in self.results)
         ):
-            return result
+            return result.restricted(wanted)
         simulator = EBSSimulator(
             result.fleet,
             sim_config,
             self.rngs,
             fault_plan=fault_plan,
         )
-        return simulator.run(traffic=result.traffic, draws=result.draws)
+        return simulator.run(
+            traffic=result.traffic, draws=result.draws, outputs=wanted
+        )
 
     def run(self, experiment_id: str) -> ExperimentResult:
         """Execute one experiment by its table/figure id (cached)."""

@@ -111,23 +111,8 @@ class FaultOutcome:
         return self.accounting.dropped_storage_ios / offered
 
     def conservation_residual(self) -> "tuple[float, float]":
-        """(storage, compute) |delivered + dropped - offered| residuals.
-
-        Both are ~0 up to float accumulation error; the property suite
-        asserts them against a relative tolerance.
-        """
-        acct = self.accounting
-        storage = abs(
-            acct.delivered_storage_ios
-            + acct.dropped_storage_ios
-            - acct.offered_storage_ios
-        )
-        compute = abs(
-            acct.delivered_compute_ios
-            + acct.dropped_compute_ios
-            - acct.offered_compute_ios
-        )
-        return storage, compute
+        """The accounting's :meth:`FaultAccounting.conservation_residual`."""
+        return self.accounting.conservation_residual()
 
     def summary_rows(self) -> List[List[Any]]:
         """(metric, value) rows for report tables."""
@@ -158,23 +143,17 @@ class FaultOutcome:
         }
 
 
-def compute_window_stats(plan: FaultPlan, traces) -> List[FaultWindowStat]:
+def compute_window_stats(plan: FaultPlan, latency) -> List[FaultWindowStat]:
     """Per-fault-window P99 of end-to-end sampled latency.
 
-    ``traces`` is a :class:`repro.trace.dataset.TraceDataset`; end-to-end
-    latency is the sum of the five per-component columns.  Windows with no
+    ``latency`` is the run's :class:`repro.trace.dataset.TraceLatency`
+    (``TraceLatency.of(traces)`` for a trace dataset).  Windows with no
     sampled IO get a NaN P99 (rendered as ``-`` in tables).
     """
     if not len(plan):
         return []
-    seconds = np.floor(np.asarray(traces.timestamp)).astype(np.int64)
-    total_us = (
-        np.asarray(traces.lat_compute_us)
-        + np.asarray(traces.lat_frontend_us)
-        + np.asarray(traces.lat_block_server_us)
-        + np.asarray(traces.lat_backend_us)
-        + np.asarray(traces.lat_chunk_server_us)
-    )
+    seconds = np.floor(np.asarray(latency.timestamp)).astype(np.int64)
+    total_us = np.asarray(latency.total_us)
     overall = (
         float(np.percentile(total_us, 99)) if total_us.size else float("nan")
     )

@@ -43,7 +43,7 @@ from typing import Any, Dict, Optional
 from repro.util.errors import ConfigError
 
 #: Bump when a result-affecting code change must invalidate the cache.
-CODE_SCHEMA_VERSION = 3
+CODE_SCHEMA_VERSION = 4
 
 #: Largest magnitude at which an integral float collapses to an int
 #: losslessly (beyond 2**53 doubles skip integers).

@@ -253,6 +253,18 @@ class StorageMetricTable(_ColumnarTable):
             yield self.record(index)
 
 
+def end_to_end_us(
+    compute: np.ndarray,
+    frontend: np.ndarray,
+    block_server: np.ndarray,
+    backend: np.ndarray,
+    chunk_server: np.ndarray,
+) -> np.ndarray:
+    """Per-IO end-to-end latency: the five stack components, added in
+    stack order (the order every reader of it sums them in)."""
+    return compute + frontend + block_server + backend + chunk_server
+
+
 class TraceDataset(_ColumnarTable):
     """Sampled per-IO traces with per-component latencies."""
 
@@ -339,12 +351,12 @@ class TraceDataset(_ColumnarTable):
     @property
     def latency_us(self) -> np.ndarray:
         """End-to-end latency per trace (sum of the five components)."""
-        return (
-            self.lat_compute_us
-            + self.lat_frontend_us
-            + self.lat_block_server_us
-            + self.lat_backend_us
-            + self.lat_chunk_server_us
+        return end_to_end_us(
+            self.lat_compute_us,
+            self.lat_frontend_us,
+            self.lat_block_server_us,
+            self.lat_backend_us,
+            self.lat_chunk_server_us,
         )
 
     def reads(self) -> "TraceDataset":
@@ -364,6 +376,27 @@ class TraceDataset(_ColumnarTable):
     def estimated_total_ios(self) -> float:
         """Estimated unsampled IO count (sampled count / sampling rate)."""
         return len(self) / self.sampling_rate
+
+
+@dataclass(frozen=True)
+class TraceLatency:
+    """Per-IO issue time and end-to-end latency of a run's sampled traces.
+
+    The part of the trace dataset that tail-latency readers use, row for
+    row: ``timestamp`` is the dataset's column and ``total_us`` its
+    :attr:`TraceDataset.latency_us`.  A run that is asked for latency
+    but not traces (``EBSSimulator.run(outputs=...)``) keeps only this.
+    """
+
+    timestamp: np.ndarray  # (N,) seconds
+    total_us: np.ndarray   # (N,) end-to-end latency, us
+
+    def __len__(self) -> int:
+        return int(self.timestamp.size)
+
+    @classmethod
+    def of(cls, traces: TraceDataset) -> "TraceLatency":
+        return cls(traces.timestamp, traces.latency_us)
 
 
 @dataclass

@@ -149,6 +149,49 @@ class TestPlacementMap:
         assert after[1] == free
         placement.check_invariants()
 
+    def test_moves_before_the_first_read_reach_the_index(self):
+        # The resident index is built on first use: a move made before
+        # any read must show in it, and the invariant check must still
+        # compare it with the table.
+        placement = self._map()
+        assert placement._resident_index is None
+        moves = [(0, 1), (4, 0), (0, 2)]
+        for seg, slot in moves:
+            src = placement.replicas_of(seg)[slot]
+            free = next(
+                bs for bs in range(placement.num_block_servers)
+                if bs not in placement.replicas_of(seg)
+            )
+            assert placement.set_slot(seg, slot, free) == src
+        assert placement._resident_index is None
+        placement.check_invariants()
+        for bs in range(placement.num_block_servers):
+            assert placement.resident_on(bs) == {
+                (seg, slot)
+                for seg, row in enumerate(placement.table.tolist())
+                for slot, holder in enumerate(row)
+                if holder == bs
+            }
+        # Once built, the index follows later moves too.
+        free = next(
+            bs for bs in range(placement.num_block_servers)
+            if bs not in placement.replicas_of(7)
+        )
+        placement.set_slot(7, 0, free)
+        assert (7, 0) in placement.resident_on(free)
+        assert placement.primaries_on(free) >= {7}
+        placement.check_invariants()
+
+    def test_check_invariants_catches_a_stale_index(self):
+        placement = self._map()
+        placement.check_invariants()  # builds the index
+        placement._table[0, 0] = next(
+            bs for bs in range(placement.num_block_servers)
+            if bs not in placement.replicas_of(0)
+        )
+        with pytest.raises(SimulationError, match="resident index"):
+            placement.check_invariants()
+
     def test_set_slot_rejects_co_location(self):
         placement = self._map()
         primary = placement.primary_of(0)

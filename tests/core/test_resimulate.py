@@ -1,13 +1,15 @@
 """``Study.resimulate``: experiment re-runs that reuse the study's traffic."""
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.cluster.simulator import EBSSimulator
+from repro.cluster.simulator import OUTPUTS, EBSSimulator
 from repro.core import Study
+from repro.core.config import StudyConfig
 from repro.engine.digest import result_digest
 from repro.engine.shards import ShardStore, StreamedTraffic
 from repro.faults.generate import PlanShape, random_fault_plan
@@ -315,6 +317,138 @@ class TestStreamedStudy:
             streamed.cleanup()
 
 
+def _field_bytes(result, name):
+    """One :data:`OUTPUTS` field of a result, as exact comparable bytes.
+
+    Floats go through JSON as their ``repr``, which round-trips every
+    double exactly (NaN included).
+    """
+    value = getattr(result, name)
+    if value is None:
+        return None
+    if name in ("wt_load_bps", "bs_load_bps"):
+        return value.dtype.str.encode() + value.tobytes()
+    if name == "latency":
+        return value.timestamp.tobytes() + value.total_us.tobytes()
+    if name == "accounting":
+        return json.dumps(vars(value), sort_keys=True).encode()
+    if name == "faults":
+        return json.dumps(value.to_dict(), sort_keys=True).encode()
+    raise AssertionError(f"no fingerprint for {name}")
+
+
+#: The output sets the experiments ask for.
+EXPERIMENT_OUTPUTS = {
+    "redundancy_cov": {"bs_load_bps", "latency"},
+    "extra_faults": {"faults"},
+    "redundancy_faults": {"accounting"},
+}
+
+
+def _random_plan(study, result, policy):
+    shape = PlanShape.of_fleet(result.fleet, study.config.duration_seconds)
+    return random_fault_plan(
+        study.config.seed + 11, shape, num_events=8, policy=policy,
+        label="outputs-test",
+    )
+
+
+class TestOutputs:
+    """``outputs=`` computes only the named fields, each bit-identical
+    to a full re-run's, on a monolithic and a streamed study alike."""
+
+    @pytest.mark.parametrize(
+        "settings, plan",
+        [
+            (dict(redundancy="r=1", read_policy="primary"), None),
+            (dict(redundancy="r=1", read_policy="primary"), "crash"),
+            (dict(redundancy="r=2", read_policy="least_loaded"), None),
+            (dict(redundancy="r=3", read_policy="power_of_two"), None),
+            (dict(redundancy="ec=2+1", read_policy="least_loaded"), "crash"),
+            ({}, RedirectPolicy.QUEUE),
+            ({}, RedirectPolicy.REDIRECT),
+        ],
+        ids=[
+            "r1", "r1-crash", "r2-least_loaded", "r3-power_of_two",
+            "ec21-crash", "random-queue", "random-redirect",
+        ],
+    )
+    def test_asked_fields_match_a_full_rerun(self, study, settings, plan):
+        for result in study.results:
+            if plan is None:
+                fault_plan = None
+            elif plan == "crash":
+                fault_plan = FaultPlan(
+                    events=(CRASH,), policy=RedirectPolicy.QUEUE
+                )
+            else:
+                fault_plan = _random_plan(study, result, plan)
+            full = study.resimulate(result, fault_plan=fault_plan, **settings)
+            for experiment, outputs in EXPERIMENT_OUTPUTS.items():
+                out = study.resimulate(
+                    result, fault_plan=fault_plan, outputs=outputs,
+                    **settings,
+                )
+                for name in OUTPUTS:
+                    if name in outputs:
+                        assert _field_bytes(out, name) == _field_bytes(
+                            full, name
+                        ), (experiment, name)
+                    else:
+                        assert getattr(out, name) is None, (experiment, name)
+            if fault_plan is not None:
+                assert full.faults.windows
+                assert full.faults.accounting is full.accounting
+
+    def test_the_fault_free_shortcut_restricts_the_study_result(
+        self, study, count_runs
+    ):
+        result = study.results[0]
+        out = study.resimulate(result, outputs={"bs_load_bps", "latency"})
+        assert count_runs == []
+        assert out.bs_load_bps is result.bs_load_bps
+        assert out.latency is result.latency
+        assert out.metrics is None and out.traces is None
+        assert out.wt_load_bps is None
+
+    def test_the_build_computes_every_field(self, study):
+        for result in study.results:
+            assert result.metrics is not None
+            assert result.traces is not None
+            assert result.latency is not None
+            assert np.array_equal(
+                result.latency.total_us, result.traces.latency_us
+            )
+            assert result.latency.timestamp is result.traces.timestamp
+
+    def test_accounting_alone_runs_neither_pass(self, study, monkeypatch):
+        result = study.results[0]
+        for name in ("run_pass1", "_run_pass2"):
+            monkeypatch.setattr(
+                EBSSimulator, name,
+                lambda *args, name=name, **kwargs: pytest.fail(name),
+            )
+        out = study.resimulate(
+            result, redundancy="r=2", read_policy="least_loaded",
+            fault_plan=FaultPlan(events=(CRASH,)), outputs={"accounting"},
+        )
+        assert out.accounting.offered_storage_ios > 0
+        storage, compute = out.accounting.conservation_residual()
+        assert storage <= 1e-6 * out.accounting.offered_storage_ios
+        assert compute <= 1e-6 * out.accounting.offered_compute_ios
+
+    def test_unknown_outputs_are_rejected(self, study):
+        result = study.results[0]
+        for outputs in ({"trace"}, {"faults", "metric_tables"}, "faults"):
+            with pytest.raises(ConfigError, match="outputs"):
+                study.resimulate(result, outputs=outputs)
+        simulator = EBSSimulator(
+            result.fleet, study.config.simulation_config(), study.rngs
+        )
+        with pytest.raises(ConfigError, match="outputs"):
+            simulator.run(traffic=result.traffic, outputs={"grids"})
+
+
 class TestTrafficChecks:
     def test_wrong_vd_count_is_rejected(self, study):
         result = study.results[0]
@@ -341,3 +475,53 @@ def test_run_all_leaves_every_result_unchanged():
     study.run_all()
     assert [result_digest(result) for result in study.results] == digests
     assert [_traffic_fingerprint(r.traffic) for r in study.results] == traffic
+
+
+def _names_inside_experiments(spans) -> dict:
+    """Span names recorded inside each ``study.experiment`` span.
+
+    Spans are recorded as they finish and experiments run one after
+    another, so everything recorded since the previous experiment (or
+    the build) finished belongs to the next experiment span.
+    """
+    inside: dict = {}
+    bucket: list = []
+    for span in spans:
+        if span["name"] == "study.experiment":
+            inside[span["labels"]["experiment"]] = bucket
+            bucket = []
+        elif span["name"] == "study.build":
+            bucket = []
+        else:
+            bucket.append(span["name"])
+    return inside
+
+
+def _counter_total(snapshot, name) -> float:
+    return sum(
+        entry["value"]
+        for entry in snapshot["metrics"]["counters"]
+        if entry["name"] == name
+    )
+
+
+def test_reduced_reruns_record_no_passes_they_skip():
+    config = StudyConfig.scale("small", seed=3, duration_seconds=120)
+    with telemetry_session(Telemetry(enabled=True)) as handle:
+        study = Study(config).build()
+        built_rows = _counter_total(handle.snapshot(), "sim.pass1.rows")
+        study.run_all()
+        snapshot = handle.snapshot()
+    inside = _names_inside_experiments(snapshot["spans"])
+    faults_rungs = inside["redundancy_faults"]
+    assert "sim.pass1" not in faults_rungs
+    assert "sim.pass2" not in faults_rungs
+    assert faults_rungs.count("sim.faults.adjust") >= 2
+    # The other two re-simulating experiments still run both passes,
+    # grids-only and latency-only.
+    for experiment in ("redundancy_cov", "extra_faults"):
+        assert "sim.pass1" in inside[experiment]
+        assert "sim.pass2" in inside[experiment]
+    # No re-run emits metric rows: every row counted is the build's.
+    assert built_rows > 0
+    assert _counter_total(snapshot, "sim.pass1.rows") == built_rows
