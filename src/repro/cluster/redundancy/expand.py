@@ -33,7 +33,11 @@ import numpy as np
 
 from repro.util.errors import ConfigError
 from repro.faults.plan import FaultKind
-from repro.faults.timeline import FaultAccounting, FaultAdjustedInputs
+from repro.faults.timeline import (
+    FaultAccounting,
+    FaultAdjustedInputs,
+    running_total,
+)
 from repro.cluster.redundancy.config import RedundancyConfig
 from repro.cluster.redundancy.policies import assign_read_weights
 
@@ -177,41 +181,9 @@ def redundancy_fault_inputs(
         offered_storage_ios=float(rep_ri.sum() + rep_wi.sum()),
     )
 
-    rep_bs_ep = np.tile(exp.rep_bs[:, None], (1, timeline.num_epochs))
-    for epoch in range(timeline.num_epochs):
-        down_mask = timeline.bs_down_ep[:, epoch]
-        if not down_mask.any():
-            continue
-        lo = int(timeline.epoch_starts[epoch])
-        hi = int(timeline.epoch_starts[epoch + 1])
-        sl = slice(lo, hi)
-        for rep in np.nonzero(down_mask[exp.rep_bs])[0]:
-            rep = int(rep)
-            # Writes to a downed copy: deferred re-replication -> dropped.
-            wi_mass = float(rep_wi[rep, sl].sum())
-            wb_mass = float(rep_wb[rep, sl].sum())
-            if wi_mass or wb_mass:
-                acct.dropped_storage_ios += wi_mass
-                acct.dropped_storage_bytes += wb_mass
-                rep_wb[rep, sl] = 0.0
-                rep_wi[rep, sl] = 0.0
-            ri_mass = float(rep_ri[rep, sl].sum())
-            rb_mass = float(rep_rb[rep, sl].sum())
-            if not (ri_mass or rb_mass):
-                continue
-            row = exp.table[int(exp.rep_seg[rep])]
-            alive = np.nonzero(~down_mask[row])[0]
-            if alive.size:
-                # Fail the reads over to the first surviving copy.
-                rep_bs_ep[rep, epoch] = int(row[int(alive[0])])
-                acct.redirected_ios += ri_mass
-                acct.redirected_bytes += rb_mass
-                acct.retried_ios += ri_mass
-            else:
-                acct.dropped_storage_ios += ri_mass
-                acct.dropped_storage_bytes += rb_mass
-                rep_rb[rep, sl] = 0.0
-                rep_ri[rep, sl] = 0.0
+    rep_bs_ep = adjust_replica_crashes(
+        exp, timeline, rep_rb, rep_wb, rep_ri, rep_wi, acct
+    )
 
     acct.delivered_compute_ios = float(qp_ri.sum() + qp_wi.sum())
     acct.delivered_storage_ios = float(rep_ri.sum() + rep_wi.sum())
@@ -222,3 +194,69 @@ def redundancy_fault_inputs(
         epoch_index=timeline.epoch_index,
         accounting=acct,
     )
+
+
+def adjust_replica_crashes(
+    exp: ReplicaExpansion,
+    timeline,
+    rep_rb: np.ndarray,
+    rep_wb: np.ndarray,
+    rep_ri: np.ndarray,
+    rep_wi: np.ndarray,
+    acct: FaultAccounting,
+) -> np.ndarray:
+    """BS-crash churn on the replica series, in place; returns
+    ``rep_bs_ep``, the serving BlockServer per (replica, epoch).
+
+    Per down epoch, over the replicas on a down BlockServer: a copy's
+    writes are dropped, and its reads fail over to the first surviving
+    copy of its segment (one retry hop), or are dropped when every copy
+    is down.  Array code per epoch, as
+    :meth:`FaultTimeline._adjust_crashes`: row sums for the window
+    masses, and each accounting field adds its per-replica masses one
+    at a time in replica order (a dropped copy adds its writes, then
+    its reads), so everything equals the per-replica loop
+    (``tests/oracles/crashes.py``) bit for bit.
+    """
+    rep_bs_ep = np.tile(exp.rep_bs[:, None], (1, timeline.num_epochs))
+    for epoch in range(timeline.num_epochs):
+        down_mask = timeline.bs_down_ep[:, epoch]
+        if not down_mask.any():
+            continue
+        lo = int(timeline.epoch_starts[epoch])
+        hi = int(timeline.epoch_starts[epoch + 1])
+        sl = slice(lo, hi)
+        reps = np.nonzero(down_mask[exp.rep_bs])[0]
+        wb, wi, rb, ri = (
+            arr[reps, sl].sum(axis=1) for arr in (rep_wb, rep_wi, rep_rb, rep_ri)
+        )
+        rows = exp.table[exp.rep_seg[reps]]
+        alive = ~down_mask[rows]
+        # The loop skips a copy whose writes (reads) are all zero.
+        wrote = (wi != 0.0) | (wb != 0.0)
+        read = (ri != 0.0) | (rb != 0.0)
+        failover = read & alive.any(axis=1)
+        lost = read & ~failover
+        rep_bs_ep[reps[failover], epoch] = rows[
+            failover, np.argmax(alive[failover], axis=1)
+        ]
+        # A copy drops its writes, then (if lost) its reads: interleave
+        # them.  A skipped mass is zero and leaves the total unchanged.
+        acct.dropped_storage_ios = running_total(
+            acct.dropped_storage_ios,
+            np.column_stack((wi, np.where(lost, ri, 0.0))).ravel(),
+        )
+        acct.dropped_storage_bytes = running_total(
+            acct.dropped_storage_bytes,
+            np.column_stack((wb, np.where(lost, rb, 0.0))).ravel(),
+        )
+        acct.redirected_ios = running_total(acct.redirected_ios, ri[failover])
+        acct.redirected_bytes = running_total(
+            acct.redirected_bytes, rb[failover]
+        )
+        acct.retried_ios = running_total(acct.retried_ios, ri[failover])
+        for arr in (rep_wb, rep_wi):
+            arr[reps[wrote], sl] = 0.0
+        for arr in (rep_rb, rep_ri):
+            arr[reps[lost], sl] = 0.0
+    return rep_bs_ep
