@@ -830,10 +830,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.sweep import SweepRunner, SweepSpec, parse_axes
 
-    if args.chunk_epochs is not None and args.chunk_epochs < 0:
-        raise ReproError(
-            f"--chunk-epochs must be >= 0, got {args.chunk_epochs}"
-        )
+    chunk_epochs, _, _ = _streaming_options(args)
     experiments = (
         experiment_ids()
         if args.experiments == ["all"]
@@ -861,7 +858,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             store_dir,
             workers=args.workers,
             retries=args.retries,
-            chunk_epochs=args.chunk_epochs or None,
+            chunk_epochs=chunk_epochs,
         )
         outcome = runner.run()
     finally:
@@ -1764,7 +1761,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         dest="chunk_epochs",
         help="run build nodes through the streaming engine in K-epoch "
-        "shards (cache keys and results are unchanged)",
+        "shards (cache keys and results are unchanged); as for 'run', "
+        "0 builds in memory and --scale large/xlarge stream by default",
     )
     sweep.add_argument(
         "--telemetry",

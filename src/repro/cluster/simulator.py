@@ -48,6 +48,7 @@ import contextlib
 import copy
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,10 +78,10 @@ from repro.faults.timeline import (
     FaultTimeline,
 )
 from repro.obs.runtime import (
-    Telemetry,
     get_telemetry,
+    merge_traced,
     peak_rss_bytes,
-    set_telemetry,
+    run_traced,
 )
 from repro.trace.dataset import (
     ComputeMetricTable,
@@ -510,46 +511,29 @@ def _engine_span(source: TrafficSource, name: str, **labels):
 
 
 def _pass2_chunk_worker(
-    payload: "tuple[EBSSimulator, Sequence[VdTraffic], np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, bool, bool]",
-) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]], Optional[TraceDraws], Optional[dict]]":
+    payload: "tuple[EBSSimulator, Sequence[VdTraffic], np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, bool]",
+) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]], Optional[TraceDraws]]":
     """Module-level worker: draw and resolve one chunk of VDs.
 
-    Runs in a child process; a store-backed chunk reads its own VD
-    batch there.  Each VD draws only from its own label-keyed RNG
-    streams, so the output is identical no matter how VDs are
-    partitioned over workers.  Returns the chunk's columns (trace
-    columns, or only latency ones unless ``traces``) and fault stats,
-    its draws when ``keep_draws`` (an in-memory run keeps them), and,
-    when the parent runs with telemetry enabled, the snapshot of a
-    fresh handle for a deterministic merge (else None).
+    Runs in a child process under :func:`run_traced`; a store-backed
+    chunk reads its own VD batch there.  Each VD draws only from its
+    own label-keyed RNG streams, so the output is identical no matter
+    how VDs are partitioned over workers.  Returns the chunk's columns
+    (trace columns, or only latency ones unless ``traces``), its fault
+    stats, and its draws when ``keep_draws`` (an in-memory run keeps
+    them).
     """
     (
         simulator, chunk, qp_to_wt, seg_to_bs, wt_load, bs_load,
-        traces, keep_draws, telemetry_on,
+        traces, keep_draws,
     ) = payload
-    telemetry = None
-    previous = None
-    if telemetry_on:
-        telemetry = Telemetry(enabled=True)
-        previous = set_telemetry(telemetry)
-    try:
-        with get_telemetry().span(
-            "sim.pass2.chunk",
-            dc=simulator.fleet.config.dc_id,
-            vds=len(chunk),
-        ):
-            columns, fault_stats, draws = simulator._pass2_chunk(
-                chunk, qp_to_wt, seg_to_bs, wt_load, bs_load, traces=traces
-            )
-    finally:
-        if telemetry is not None:
-            set_telemetry(previous)
-    return (
-        columns,
-        fault_stats,
-        draws if keep_draws else None,
-        telemetry.snapshot() if telemetry is not None else None,
-    )
+    with get_telemetry().span(
+        "sim.pass2.chunk", dc=simulator.fleet.config.dc_id, vds=len(chunk)
+    ):
+        columns, fault_stats, draws = simulator._pass2_chunk(
+            chunk, qp_to_wt, seg_to_bs, wt_load, bs_load, traces=traces
+        )
+    return columns, fault_stats, draws if keep_draws else None
 
 
 class EBSSimulator:
@@ -1832,22 +1816,21 @@ class EBSSimulator:
                     )
             else:
                 payloads = [
-                    (
-                        self, chunk, *loads, traces, keep_draws,
-                        telemetry.enabled,
-                    )
+                    (self, chunk, *loads, traces, keep_draws)
                     for chunk in chunks
                 ]
                 with ProcessPoolExecutor(
                     max_workers=min(workers, len(payloads))
                 ) as pool:
-                    outcomes = list(pool.map(_pass2_chunk_worker, payloads))
-                # Merge worker telemetry in chunk (VD) order: counters and
-                # histogram buckets are integer-valued, so the merged
-                # metrics are byte-identical to the sequential run's.
-                for *_, snapshot in outcomes:
-                    telemetry.merge_snapshot(snapshot)
-                parts = [outcome[:3] for outcome in outcomes]
+                    # Worker telemetry merges in chunk (VD) order.
+                    parts = merge_traced(pool.map(
+                        partial(
+                            run_traced,
+                            _pass2_chunk_worker,
+                            fresh=telemetry.enabled,
+                        ),
+                        payloads,
+                    ))
             if keep_draws:
                 draws = TraceDraws.concat([drawn for *_, drawn in parts])
         dataset, latency, fault_stats = self._collect_trace_columns(

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Collection, Dict, List, Optional
 
 from repro.cluster.simulator import (
@@ -16,47 +17,91 @@ from repro.core.config import StudyConfig
 from repro.core.report import ExperimentResult
 from repro.faults.plan import FaultPlan
 from repro.obs.runtime import (
-    Telemetry,
     get_telemetry,
+    merge_traced,
     peak_rss_bytes,
-    set_telemetry,
+    run_traced,
 )
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.rng import RngFactory
 from repro.workload.fleet import FleetConfig, build_fleet
 
 
-def _simulate_dc(
-    payload: (
-        "tuple[FleetConfig, SimulationConfig, int, bool, Optional[FaultPlan]]"
-    ),
-) -> "tuple[SimulationResult, Optional[dict]]":
-    """Module-level worker: build + simulate one DC in a child process.
+@dataclass(frozen=True)
+class BuildInputs:
+    """Everything one DC's build reads: :func:`build_dc` reads nothing else.
 
-    Every RNG stream is keyed by the DC id (fleet build, workload,
-    simulator), so simulating DCs in separate processes yields exactly
-    the same datasets as the sequential loop.  With telemetry enabled in
-    the parent, the worker records into a fresh handle and returns its
-    snapshot for a deterministic merge (else None).  The optional fault
-    plan is already scoped to this DC (:meth:`FaultPlan.for_dc`).
+    The sweep keys its build nodes on this object
+    (:func:`repro.sweep.canonical.build_key`), so every field the build
+    reads is a field the key covers.
     """
-    dc_config, sim_config, seed, telemetry_on, fault_plan = payload
-    telemetry = None
-    previous = None
-    if telemetry_on:
-        telemetry = Telemetry(enabled=True)
-        previous = set_telemetry(telemetry)
-    try:
-        with get_telemetry().span("study.simulate_dc", dc=dc_config.dc_id):
-            rngs = RngFactory(seed)
-            fleet = build_fleet(dc_config, rngs)
-            result = EBSSimulator(
-                fleet, sim_config, rngs, fault_plan=fault_plan
-            ).run()
-    finally:
-        if telemetry is not None:
-            set_telemetry(previous)
-    return result, telemetry.snapshot() if telemetry is not None else None
+
+    seed: int
+    simulation: SimulationConfig
+    dc: FleetConfig
+    #: The study's fault plan scoped to this DC; None when that is empty.
+    fault_plan: Optional[FaultPlan] = None
+
+    @classmethod
+    def of(cls, config: StudyConfig, dc: FleetConfig) -> "BuildInputs":
+        """One DC's inputs under ``config`` (the one place plans scope)."""
+        plan = config.fault_plan
+        scoped = None if plan is None else plan.for_dc(dc.dc_id)
+        return cls(
+            seed=config.seed,
+            simulation=config.simulation_config(),
+            dc=dc,
+            fault_plan=None if scoped is None or scoped.is_empty else scoped,
+        )
+
+
+def build_dc(
+    inputs: BuildInputs,
+    workers: int = 1,
+    chunk_epochs: "Optional[int]" = None,
+    shard_dir: "Optional[str]" = None,
+    max_rss_mb: "Optional[int]" = None,
+    series_dtype: str = "float64",
+) -> "tuple[SimulationResult, Optional[object]]":
+    """Build one DC's fleet and simulate it: the one build path.
+
+    ``Study.build`` (inline or in its DC pool) and the sweep's build
+    nodes all call this.  Every RNG stream is keyed by the seed and the
+    DC id, so the result is the same wherever it runs.  With
+    ``chunk_epochs`` the traffic spills to a shard store (under
+    ``shard_dir/dcNN``, else a temp dir) and the run streams from it;
+    the :class:`~repro.engine.StreamingSimulator` comes back with the
+    result so the caller decides when to purge the store, which the
+    result's traffic reads lazily.  An in-memory run returns None.
+    """
+    dc_id = inputs.dc.dc_id
+    with get_telemetry().span("study.simulate_dc", dc=dc_id):
+        rngs = RngFactory(inputs.seed)
+        simulator = EBSSimulator(
+            build_fleet(inputs.dc, rngs),
+            inputs.simulation,
+            rngs,
+            fault_plan=inputs.fault_plan,
+        )
+        if chunk_epochs is None:
+            return simulator.run(workers=workers), None
+        from repro.engine import StreamingSimulator
+
+        engine = StreamingSimulator(
+            simulator,
+            chunk_epochs=chunk_epochs,
+            shard_dir=(
+                None if shard_dir is None else f"{shard_dir}/dc{dc_id:02d}"
+            ),
+            max_rss_mb=max_rss_mb,
+            series_dtype=series_dtype,
+        )
+        try:
+            result = simulator.run(workers=workers, traffic=engine.spill())
+        except BaseException:
+            engine.cleanup()
+            raise
+    return result, engine
 
 
 class Study:
@@ -151,14 +196,6 @@ class Study:
     def built(self) -> bool:
         return bool(self._results)
 
-    def _fault_plan_for(self, dc_id: int) -> "Optional[FaultPlan]":
-        """The configured plan scoped to one DC (None when fault-free)."""
-        plan = self.config.fault_plan
-        if plan is None or plan.is_empty:
-            return None
-        scoped = plan.for_dc(dc_id)
-        return None if scoped.is_empty else scoped
-
     @property
     def results(self) -> List[SimulationResult]:
         if not self._results:
@@ -180,75 +217,46 @@ class Study:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         telemetry = get_telemetry()
-        sim_config = self.config.simulation_config()
-        dcs = self.config.dc_configs
+        dcs = [
+            BuildInputs.of(self.config, dc) for dc in self.config.dc_configs
+        ]
         with telemetry.span(
             "study.build", workers=workers, dcs=len(dcs)
         ) as span:
             if workers > 1 and len(dcs) > 1 and not self.streamed:
-                payloads = [
-                    (
-                        dc,
-                        sim_config,
-                        self.rngs.seed,
-                        telemetry.enabled,
-                        self._fault_plan_for(dc.dc_id),
-                    )
-                    for dc in dcs
-                ]
                 with ProcessPoolExecutor(
                     max_workers=min(workers, len(dcs))
                 ) as pool:
-                    outcomes = list(pool.map(_simulate_dc, payloads))
-                # Merge per-worker telemetry in DC order; all metrics are
-                # integer-valued, so the merged registry is byte-identical
-                # to the sequential build's.
-                for _, snapshot in outcomes:
-                    telemetry.merge_snapshot(snapshot)
-                self._results = [result for result, _ in outcomes]
+                    # Worker telemetry merges in DC order, so the merged
+                    # registry is byte-identical to the sequential build's.
+                    built = merge_traced(pool.map(
+                        partial(run_traced, build_dc, fresh=telemetry.enabled),
+                        dcs,
+                    ))
             else:
                 # Streamed DCs run one after another (one bounded working
                 # set at a time); ``workers`` fans out pass 2 inside each.
-                for dc_config in dcs:
-                    with telemetry.span(
-                        "study.simulate_dc", dc=dc_config.dc_id
-                    ):
-                        fleet = build_fleet(dc_config, self.rngs)
-                        simulator = EBSSimulator(
-                            fleet,
-                            sim_config,
-                            self.rngs,
-                            fault_plan=self._fault_plan_for(dc_config.dc_id),
-                        )
-                        self._results.append(simulator.run(
-                            workers=workers, traffic=self._spill(simulator)
-                        ))
+                built = []
+                for inputs in dcs:
+                    result, engine = build_dc(
+                        inputs,
+                        workers,
+                        self.chunk_epochs,
+                        self.shard_dir,
+                        self.max_rss_mb,
+                        self.series_dtype,
+                    )
+                    built.append((result, engine))
+                    # Kept at once, so cleanup() purges this DC's store
+                    # even when a later DC fails.
+                    if engine is not None:
+                        self._engines.append(engine)
+            self._results = [result for result, _ in built]
             if telemetry.enabled:
                 rss = peak_rss_bytes()
                 if rss is not None:
                     span.set(peak_rss_bytes=rss)
         return self
-
-    def _spill(self, simulator: EBSSimulator):
-        """A streamed build's spilled traffic; None builds in memory."""
-        if not self.streamed:
-            return None
-        from repro.engine import StreamingSimulator
-
-        dc_id = simulator.fleet.config.dc_id
-        engine = StreamingSimulator(
-            simulator,
-            chunk_epochs=self.chunk_epochs,
-            shard_dir=(
-                None
-                if self.shard_dir is None
-                else f"{self.shard_dir}/dc{dc_id:02d}"
-            ),
-            max_rss_mb=self.max_rss_mb,
-            series_dtype=self.series_dtype,
-        )
-        self._engines.append(engine)
-        return engine.spill()
 
     def result_for_dc(self, dc_id: int) -> SimulationResult:
         for result in self.results:
@@ -294,7 +302,8 @@ class Study:
         )
         if (
             (fault_plan is None or fault_plan.is_empty)
-            and self._fault_plan_for(result.fleet.config.dc_id) is None
+            and BuildInputs.of(self.config, result.fleet.config).fault_plan
+            is None
             and sim_config.redundancy_config() is None
             and own.redundancy_config() is None
             and any(mine is result for mine in self.results)

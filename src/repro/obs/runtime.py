@@ -9,13 +9,14 @@ perfbench runs at or below 25%.  A run that wants telemetry installs an
 enabled :class:`Telemetry` (usually via :func:`telemetry_session` or the
 CLI's ``--telemetry PATH`` flag) for its duration.
 
-Worker processes (``Study.build(workers=N)``, the pass-2 trace fan-out)
-each install a fresh enabled handle, run their chunk, and ship a
-:meth:`Telemetry.snapshot` back to the parent, which merges them with
-:meth:`Telemetry.merge_snapshot`.  Metrics merge deterministically
-(counters add, gauges max, histogram buckets add — all integer-valued by
-convention), so the merged fleet view is byte-identical for any worker
-count; spans merge by concatenation and carry their worker's pid.
+Worker processes (``Study.build(workers=N)``, the pass-2 trace fan-out,
+sweep nodes) run their work through :func:`run_traced`, which installs
+a fresh enabled handle and ships its :meth:`Telemetry.snapshot` back to
+the parent; :func:`merge_traced` folds the snapshots in order.  Metrics
+merge deterministically (counters add, gauges max, histogram buckets
+add — all integer-valued by convention), so the merged fleet view is
+byte-identical for any worker count; spans merge by concatenation and
+carry their worker's pid.
 """
 
 from __future__ import annotations
@@ -25,7 +26,16 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import Tracer
@@ -264,3 +274,42 @@ def telemetry_session(
         yield telemetry
     finally:
         set_telemetry(previous)
+
+
+def run_traced(
+    fn: Callable[..., Any], *args: Any, fresh: bool = True
+) -> "Tuple[Any, Optional[Dict[str, Any]]]":
+    """Child side of the worker-telemetry protocol: ``(fn(*args), snapshot)``.
+
+    With ``fresh``, ``fn`` runs under a new enabled handle whose
+    snapshot comes back with the value; the caller's handle is restored
+    even when ``fn`` raises, and a failed call's partial metrics go down
+    with its exception.  Without it (the parent records nothing) ``fn``
+    runs under the installed handle and the snapshot is None.
+    """
+    if not fresh:
+        return fn(*args), None
+    telemetry = Telemetry(enabled=True)
+    previous = set_telemetry(telemetry)
+    try:
+        value = fn(*args)
+    finally:
+        set_telemetry(previous)
+    return value, telemetry.snapshot()
+
+
+def merge_traced(
+    outcomes: "Iterable[Tuple[Any, Optional[Dict[str, Any]]]]",
+) -> List[Any]:
+    """Parent side: merge :func:`run_traced` snapshots in the order given.
+
+    Returns the values.  Counters and histogram buckets are
+    integer-valued, so merging in a fixed (input) order makes the parent
+    registry byte-identical to a sequential run's.
+    """
+    telemetry = get_telemetry()
+    values = []
+    for value, snapshot in outcomes:
+        telemetry.merge_snapshot(snapshot)
+        values.append(value)
+    return values

@@ -24,11 +24,11 @@ Two version knobs are folded into every key:
   bumping it invalidates every cached artifact at once.
 - the node ``kind`` — build keys and experiment keys can never collide.
 
-Build keys cover exactly what ``Study.build()`` reads: the seed, the
-whole ``simulation_config()`` (redundancy and recording thresholds
-included), the DC's fleet config, and the fault plan scoped to that DC.
-Experiment knobs — lending ratios, cache sizes, balancer periods — are
-excluded, which is what lets overlapping sweep points share one fleet.
+Build keys hash the :class:`~repro.core.study.BuildInputs` that the one
+per-DC build function reads: the seed, the whole ``simulation_config()``,
+the DC's fleet config and the fault plan scoped to that DC.  Experiment
+knobs — lending ratios, cache sizes, balancer periods — are not in it,
+which is what lets overlapping sweep points share one fleet.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import enum
 import hashlib
 import json
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.util.errors import ConfigError
 
@@ -129,23 +129,17 @@ def config_digest(config) -> str:
     )
 
 
-def build_key(config, dc_config, fault_plan: Optional[object]) -> str:
-    """Content key of one DC's *build* (fleet + simulate) node.
+def build_key(inputs) -> str:
+    """Content key of one DC's *build* node: its ``BuildInputs``.
 
-    Only build-relevant fields participate: two sweep points that differ
-    in an experiment knob (say ``cache_min_traces``) map to the same
-    build keys and therefore share the expensive simulation work.
-    ``fault_plan`` must already be scoped to this DC
-    (:meth:`FaultPlan.for_dc`), or ``None``.
+    Two sweep points that differ only in an experiment knob (say
+    ``cache_min_traces``) have equal inputs, so they share one build.
     """
     return digest_payload(
         {
             "schema": CODE_SCHEMA_VERSION,
             "kind": "build",
-            "seed": config.seed,
-            "simulation": canonical_value(config.simulation_config()),
-            "dc": canonical_value(dc_config),
-            "fault_plan": canonical_value(fault_plan),
+            **canonical_value(inputs),
         }
     )
 

@@ -7,13 +7,11 @@ Each sweep point (one :class:`StudyConfig`) expands to::
     build:dc2 ─┘   experiment:fig7a  ─┼─> point
                    ...               ─┘
 
-- **build** nodes simulate one data center (fleet build + both simulator
-  passes).  Keyed by the *build-relevant* config subset only
+- **build** nodes simulate one data center through
+  :func:`repro.core.study.build_dc`.  Keyed by the
+  :class:`~repro.core.study.BuildInputs` that function reads
   (:func:`repro.sweep.canonical.build_key`), so sweep points that differ
-  in experiment knobs share these nodes.  Streamed builds additionally
-  carry the engine's shard geometry (:func:`repro.engine.plan_for`) as
-  node metadata: the pass-1 shard windows and pass-2 VD batches are the
-  node's internal sub-steps, visible in ``engine.*`` telemetry.
+  in experiment knobs share these nodes.
 - **experiment** nodes run one registered experiment against the
   assembled study.  Keyed by the *full* config digest + experiment id.
 - **point** nodes aggregate one sweep point's experiment digests into
@@ -30,6 +28,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.study import BuildInputs
 from repro.sweep.canonical import build_key, experiment_key, point_key
 from repro.util.errors import ConfigError
 
@@ -48,20 +47,12 @@ class SweepNode:
     kind: NodeKind
     label: str
     deps: Tuple[str, ...] = ()
-    #: Node-specific execution context (config, dc_id, experiment_id,
-    #: point index); everything here must be picklable.
+    #: Node-specific execution context (build inputs, config,
+    #: experiment_id, point index); everything here must be picklable.
     context: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", NodeKind(self.kind))
-
-
-def _scoped_plan(config, dc_id: int):
-    plan = config.fault_plan
-    if plan is None or plan.is_empty:
-        return None
-    scoped = plan.for_dc(dc_id)
-    return None if scoped.is_empty else scoped
 
 
 def build_nodes_for(
@@ -70,33 +61,14 @@ def build_nodes_for(
     """The per-DC build nodes of one study config."""
     nodes: List[SweepNode] = []
     for dc_config in config.dc_configs:
-        plan = _scoped_plan(config, dc_config.dc_id)
-        key = build_key(config, dc_config, plan)
-        context = {
-            "config": config,
-            "dc_id": dc_config.dc_id,
-            "chunk_epochs": chunk_epochs,
-        }
-        if chunk_epochs is not None:
-            # Annotate with the engine's shard geometry so progress and
-            # telemetry can attribute work to pass-1 windows / pass-2
-            # batches (the node's internal sub-steps).
-            from repro.engine import plan_for
-
-            # num_vds is unknown before the fleet builds; only the time
-            # axis (num_shards) is geometry we can pin here.
-            plan_geo = plan_for(
-                duration_seconds=config.duration_seconds,
-                num_vds=1,
-                chunk_epochs=chunk_epochs,
-            )
-            context["num_shards"] = plan_geo.num_shards
+        inputs = BuildInputs.of(config, dc_config)
+        key = build_key(inputs)
         nodes.append(
             SweepNode(
                 key=key,
                 kind=NodeKind.BUILD,
                 label=f"build:dc{dc_config.dc_id}@{key[:12]}",
-                context=context,
+                context={"inputs": inputs, "chunk_epochs": chunk_epochs},
             )
         )
     return nodes

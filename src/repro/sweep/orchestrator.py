@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.report import ExperimentResult
-from repro.core.study import Study
-from repro.obs.runtime import Telemetry, get_telemetry, set_telemetry
+from repro.core.study import Study, build_dc
+from repro.obs.runtime import get_telemetry, merge_traced, run_traced
 from repro.sweep.canonical import (
     CODE_SCHEMA_VERSION,
     digest_payload,
@@ -40,7 +40,6 @@ from repro.sweep.dag import NodeKind, SweepNode, merge_dags, study_nodes
 from repro.sweep.grid import SweepPoint, SweepSpec, override_label
 from repro.sweep.store import ArtifactStore
 from repro.util.errors import ConfigError, SweepError
-from repro.util.rng import RngFactory
 
 #: Version of the sweep outcome JSON payload (``SweepOutcome.to_dict``).
 SWEEP_SCHEMA_VERSION = 1
@@ -51,61 +50,34 @@ SWEEP_SCHEMA_VERSION = 1
 
 def _run_build_node(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one DC and publish the pickled result as the artifact."""
-    from repro.cluster.simulator import EBSSimulator
-    from repro.engine import StreamingSimulator
     from repro.engine.digest import result_digest
-    from repro.workload.fleet import build_fleet
 
     store = ArtifactStore(payload["store_dir"])
-    config = payload["config"]
-    dc_id = payload["dc_id"]
-    chunk_epochs = payload.get("chunk_epochs")
-    telemetry, previous = _enter_worker_telemetry(payload)
+    inputs = payload["inputs"]
     started = time.perf_counter()
-    try:
-        with get_telemetry().span("sweep.node", kind="build", dc=dc_id):
-            dc_config = _dc_config(config, dc_id)
-            plan = _scoped_plan(config, dc_id)
-            # Fresh label-keyed streams per DC: identical to the
-            # sequential Study.build() by the same argument the
-            # process-parallel build relies on.
-            rngs = RngFactory(config.seed)
-            fleet = build_fleet(dc_config, rngs)
-            simulator = EBSSimulator(
-                fleet, config.simulation_config(), rngs, fault_plan=plan
-            )
-            engine = (
-                None
-                if chunk_epochs is None
-                else StreamingSimulator(simulator, chunk_epochs=chunk_epochs)
-            )
-            try:
-                result = simulator.run(
-                    traffic=None if engine is None else engine.spill()
-                )
-                # The artifact outlives a streamed build's temp shard
-                # store: it pickles plain per-VD traffic, and no pass-2
-                # draws (a re-simulation draws again).
-                result.traffic = list(result.traffic)
-                result.draws = None
-            finally:
-                if engine is not None:
-                    engine.cleanup()
-            digest = result_digest(result)
-            store.put(
-                payload["key"],
-                "build",
-                payload={"result_digest": digest, "dc_id": dc_id},
-                meta={"elapsed_s": time.perf_counter() - started},
-                blob=result,
-            )
-    finally:
-        snapshot = _exit_worker_telemetry(telemetry, previous)
+    with get_telemetry().span("sweep.node", kind="build", dc=inputs.dc.dc_id):
+        result, engine = build_dc(inputs, chunk_epochs=payload["chunk_epochs"])
+        try:
+            # The artifact outlives a streamed build's temp shard store:
+            # it pickles plain per-VD traffic, and no pass-2 draws (a
+            # re-simulation draws again).
+            result.traffic = list(result.traffic)
+            result.draws = None
+        finally:
+            if engine is not None:
+                engine.cleanup()
+        digest = result_digest(result)
+        store.put(
+            payload["key"],
+            "build",
+            payload={"result_digest": digest, "dc_id": inputs.dc.dc_id},
+            meta={"elapsed_s": time.perf_counter() - started},
+            blob=result,
+        )
     return {
         "key": payload["key"],
         "digest": digest,
         "elapsed_s": time.perf_counter() - started,
-        "snapshot": snapshot,
     }
 
 
@@ -114,68 +86,31 @@ def _run_experiment_node(payload: Dict[str, Any]) -> Dict[str, Any]:
     store = ArtifactStore(payload["store_dir"])
     config = payload["config"]
     experiment_id = payload["experiment_id"]
-    telemetry, previous = _enter_worker_telemetry(payload)
     started = time.perf_counter()
-    try:
-        with get_telemetry().span(
-            "sweep.node", kind="experiment", experiment=experiment_id
-        ):
-            results = [
-                store.get_blob(build_key)
-                for build_key in payload["build_keys"]
-            ]
-            study = Study.from_results(config, results)
-            result = study.run(experiment_id)
-            table = result.to_dict()
-            digest = result_table_digest(table)
-            store.put(
-                payload["key"],
-                "experiment",
-                payload={
-                    "experiment_id": experiment_id,
-                    "result": table,
-                    "table_digest": digest,
-                },
-                meta={"elapsed_s": time.perf_counter() - started},
-            )
-    finally:
-        snapshot = _exit_worker_telemetry(telemetry, previous)
+    with get_telemetry().span(
+        "sweep.node", kind="experiment", experiment=experiment_id
+    ):
+        results = [
+            store.get_blob(build_key) for build_key in payload["build_keys"]
+        ]
+        study = Study.from_results(config, results)
+        table = study.run(experiment_id).to_dict()
+        digest = result_table_digest(table)
+        store.put(
+            payload["key"],
+            "experiment",
+            payload={
+                "experiment_id": experiment_id,
+                "result": table,
+                "table_digest": digest,
+            },
+            meta={"elapsed_s": time.perf_counter() - started},
+        )
     return {
         "key": payload["key"],
         "digest": digest,
         "elapsed_s": time.perf_counter() - started,
-        "snapshot": snapshot,
     }
-
-
-def _enter_worker_telemetry(payload):
-    """Fresh telemetry handle inside pool workers (snapshot protocol)."""
-    if not payload.get("fresh_telemetry"):
-        return None, None
-    telemetry = Telemetry(enabled=True)
-    return telemetry, set_telemetry(telemetry)
-
-
-def _exit_worker_telemetry(telemetry, previous):
-    if telemetry is None:
-        return None
-    set_telemetry(previous)
-    return telemetry.snapshot()
-
-
-def _dc_config(config, dc_id: int):
-    for dc_config in config.dc_configs:
-        if dc_config.dc_id == dc_id:
-            return dc_config
-    raise ConfigError(f"no data center with id {dc_id}")
-
-
-def _scoped_plan(config, dc_id: int):
-    plan = config.fault_plan
-    if plan is None or plan.is_empty:
-        return None
-    scoped = plan.for_dc(dc_id)
-    return None if scoped.is_empty else scoped
 
 
 _NODE_RUNNERS = {
@@ -441,11 +376,10 @@ class SweepRunner:
             store_dir=str(self.store.directory),
         )
 
-    def _payload_for(self, node: SweepNode, fresh: bool) -> Dict[str, Any]:
+    def _payload_for(self, node: SweepNode) -> Dict[str, Any]:
         payload = dict(node.context)
         payload["key"] = node.key
         payload["store_dir"] = str(self.store.directory)
-        payload["fresh_telemetry"] = fresh
         return payload
 
     def _run_point_node(self, node: SweepNode) -> None:
@@ -485,9 +419,11 @@ class SweepRunner:
         # and only the attempt that *succeeded* merges back: a failed-
         # then-retried node must not double-count its partial metrics in
         # the parent's snapshot.
-        payload = self._payload_for(node, fresh=telemetry.enabled)
-        outcome = _NODE_RUNNERS[node.kind](payload)
-        telemetry.merge_snapshot(outcome.get("snapshot"))
+        [outcome] = merge_traced([run_traced(
+            _NODE_RUNNERS[node.kind],
+            self._payload_for(node),
+            fresh=telemetry.enabled,
+        )])
         telemetry.histogram(
             "sweep.node_seconds", kind=node.kind.value
         ).observe(outcome["elapsed_s"])
@@ -540,7 +476,8 @@ class SweepRunner:
             for node in todo
         }
         attempts: Dict[str, int] = {node.key: 0 for node in todo}
-        snapshots: Dict[str, Optional[dict]] = {}
+        # key -> (outcome, snapshot) of the node's successful attempt.
+        traced: Dict[str, Any] = {}
         in_flight: Dict[Any, str] = {}
 
         def ready() -> List[SweepNode]:
@@ -596,8 +533,10 @@ class SweepRunner:
                         ).inc()
                         continue
                     future = pool.submit(
+                        run_traced,
                         _NODE_RUNNERS[node.kind],
-                        self._payload_for(node, fresh=telemetry.enabled),
+                        self._payload_for(node),
+                        fresh=telemetry.enabled,
                     )
                     in_flight[future] = node.key
                 if not in_flight:
@@ -615,11 +554,10 @@ class SweepRunner:
                     node = by_key[key]
                     error = future.exception()
                     if error is None:
-                        outcome = future.result()
-                        snapshots[key] = outcome.get("snapshot")
+                        traced[key] = future.result()
                         telemetry.histogram(
                             "sweep.node_seconds", kind=node.kind.value
-                        ).observe(outcome["elapsed_s"])
+                        ).observe(traced[key][0]["elapsed_s"])
                         mark_done(key)
                         continue
                     attempts[key] += 1
@@ -634,9 +572,7 @@ class SweepRunner:
                         "sweep.node_retries", kind=node.kind.value
                     ).inc()
         # Deterministic merge order: node order, not completion order.
-        for node in todo:
-            if node.key in snapshots:
-                telemetry.merge_snapshot(snapshots[node.key])
+        merge_traced(traced[node.key] for node in todo if node.key in traced)
 
     def _execute(
         self, todo: List[SweepNode], stats: SweepStats, telemetry

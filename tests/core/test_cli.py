@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _LARGE_DEFAULT_CHUNK_EPOCHS, build_parser, main
+
+#: The package, not the ``repro.sweep`` API function of the same name.
+SWEEP = importlib.import_module("repro.sweep")
 
 
 class TestParser:
@@ -149,6 +154,62 @@ class TestMain:
         assert args.store == "cache/"
         assert args.output == "sweep.json"
         assert args.workers == 2
+
+
+class TestSweepStreaming:
+    """``sweep`` resolves streaming as ``run`` does (no build runs here)."""
+
+    @pytest.fixture
+    def runner_kwargs(self, monkeypatch):
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        class FakeRunner:
+            def __init__(self, spec, store_dir, **kwargs):
+                seen.update(kwargs)
+                raise Stop
+
+        monkeypatch.setattr(SWEEP, "SweepRunner", FakeRunner)
+
+        def parse(*argv):
+            with pytest.raises(Stop):
+                main(["sweep", "table2", *argv])
+            return seen
+
+        return parse
+
+    @pytest.mark.parametrize(
+        "argv, chunk_epochs",
+        [
+            ((), None),
+            (("--chunk-epochs", "0"), None),
+            (("--chunk-epochs", "3"), 3),
+            (("--scale", "large"), _LARGE_DEFAULT_CHUNK_EPOCHS),
+            (("--scale", "xlarge"), _LARGE_DEFAULT_CHUNK_EPOCHS),
+            (("--scale", "large", "--chunk-epochs", "2"), 2),
+        ],
+    )
+    def test_chunk_epochs(self, runner_kwargs, argv, chunk_epochs):
+        assert runner_kwargs(*argv)["chunk_epochs"] == chunk_epochs
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--scale", "large", "--chunk-epochs", "0"),
+                "only runs streamed",
+            ),
+            (("--chunk-epochs", "-1"), "must be >= 0"),
+        ],
+    )
+    def test_rejected_like_run(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr(SWEEP, "SweepRunner", None)
+        assert main(["sweep", "table2", *argv]) == 1
+        assert message in capsys.readouterr().err
+        assert main(["run", "table2", *argv]) == 1
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -126,6 +126,21 @@ class TestOwnSettings:
         assert result_digest(out) == result_digest(fresh)
 
 
+def test_extra_faults_drops_qp_stalls_under_redundancy():
+    """Redundancy rejects QP stalls, so the experiment's drawn plans
+    lose theirs; single-copy runs keep every drawn event."""
+    single = Study(tiny_config()).run("extra_faults")
+    redundant = Study(
+        replace(tiny_config(), redundancy="r=2", read_policy="least_loaded")
+    ).run("extra_faults")
+    events = single.headers.index("events")
+    kept = [row[events] for row in redundant.rows]
+    drawn = [row[events] for row in single.rows]
+    assert all(k <= d for k, d in zip(kept, drawn)) and kept != drawn
+    assert "qp_stall" in redundant.notes
+    assert "qp_stall" not in single.notes
+
+
 class TestOtherSettings:
     def test_fault_plan_matches_a_fresh_run(self, study, count_runs):
         for result in study.results:

@@ -5,15 +5,17 @@ spellings of the same value digest identically, and the smallest
 semantic change produces a different key.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.study import BuildInputs
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sweep.canonical import (
+    CODE_SCHEMA_VERSION,
     build_key,
     canonical_value,
     config_digest,
@@ -138,7 +140,9 @@ class TestBuildKeys:
             balancer_period_seconds=60,
         )
         for dc in base.dc_configs:
-            assert build_key(base, dc, None) == build_key(tweaked, dc, None)
+            assert build_key(BuildInputs.of(base, dc)) == build_key(
+                BuildInputs.of(tweaked, dc)
+            )
 
     @pytest.mark.parametrize(
         "override",
@@ -157,7 +161,9 @@ class TestBuildKeys:
         base = tiny_config()
         changed = replace(base, **override)
         dc = base.dc_configs[0]
-        assert build_key(base, dc, None) != build_key(changed, dc, None)
+        assert build_key(BuildInputs.of(base, dc)) != build_key(
+            BuildInputs.of(changed, dc)
+        )
 
     def test_fault_plan_participates_in_build_keys(self):
         base = tiny_config()
@@ -167,7 +173,10 @@ class TestBuildKeys:
                 FaultEvent(kind="bs_crash", start_s=10, end_s=30, target=0),
             )
         )
-        assert build_key(base, dc, plan) != build_key(base, dc, None)
+        with_plan = replace(base, fault_plan=plan)
+        assert build_key(BuildInputs.of(with_plan, dc)) != build_key(
+            BuildInputs.of(base, dc)
+        )
 
     def test_fault_event_order_is_irrelevant(self):
         events = (
@@ -178,7 +187,43 @@ class TestBuildKeys:
         backward = FaultPlan(events=tuple(reversed(events)))
         base = tiny_config()
         dc = base.dc_configs[0]
-        assert build_key(base, dc, forward) == build_key(base, dc, backward)
+        assert build_key(
+            BuildInputs.of(replace(base, fault_plan=forward), dc)
+        ) == build_key(BuildInputs.of(replace(base, fault_plan=backward), dc))
+
+    def test_every_input_field_changes_build_keys(self):
+        """Each ``BuildInputs`` field is in the key, a later one too."""
+        base = tiny_config()
+        inputs = BuildInputs.of(base, base.dc_configs[0])
+        plan = FaultPlan(
+            events=(
+                FaultEvent(kind="bs_crash", start_s=10, end_s=30, target=0),
+            )
+        )
+        other = BuildInputs.of(
+            replace(base, seed=11, redundancy="r=2", fault_plan=plan),
+            base.dc_configs[1],
+        )
+        for field in fields(BuildInputs):
+            value = getattr(other, field.name)
+            assert value != getattr(inputs, field.name), field.name
+            changed = replace(inputs, **{field.name: value})
+            assert build_key(changed) != build_key(inputs), field.name
+
+    def test_key_payload_is_unchanged(self):
+        """Stores warmed before ``BuildInputs`` existed still hit."""
+        base = tiny_config(redundancy="r=2")
+        dc = base.dc_configs[1]
+        assert build_key(BuildInputs.of(base, dc)) == digest_payload(
+            {
+                "schema": CODE_SCHEMA_VERSION,
+                "kind": "build",
+                "seed": base.seed,
+                "simulation": canonical_value(base.simulation_config()),
+                "dc": canonical_value(dc),
+                "fault_plan": None,
+            }
+        )
 
 
 def test_result_table_digest_tracks_content():

@@ -351,14 +351,11 @@ class TestRetries:
             if payload["key"] in failed_once:
                 return real_build(payload)
             failed_once.add(payload["key"])
-            telemetry, previous = orch._enter_worker_telemetry(payload)
-            try:
-                # Partial work a real build would have recorded before
-                # dying; it must never reach the parent's artifact.
-                get_telemetry().counter("test.partial_work").inc(1000)
-                raise RuntimeError("mid-run crash")
-            finally:
-                orch._exit_worker_telemetry(telemetry, previous)
+            # Partial work a real build would have recorded before dying,
+            # under the handle the scheduler's ``run_traced`` installed;
+            # it must never reach the parent's artifact.
+            get_telemetry().counter("test.partial_work").inc(1000)
+            raise RuntimeError("mid-run crash")
 
         monkeypatch.setitem(
             orch._NODE_RUNNERS, NodeKind.BUILD, crash_mid_run_once
