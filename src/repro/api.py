@@ -28,7 +28,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.core.config import SCALE_NAMES, StudyConfig
+from repro.core.config import (
+    SCALE_NAMES,
+    StudyConfig,
+    streaming_chunk_epochs,
+)
 from repro.core.report import ExperimentResult
 from repro.core.study import Study
 from repro.core.result_schema import (
@@ -53,19 +57,27 @@ __all__ = [
 ]
 
 
-def _resolve_config(
+def _study(
     config: Optional[StudyConfig],
     scale: str,
     seed: int,
     overrides: Dict[str, Any],
-) -> StudyConfig:
+) -> Study:
+    """The study of ``config=`` (built in memory), else of ``scale``.
+
+    A preset scale builds as the CLI builds it: ``large``/``xlarge``
+    stream (:func:`repro.core.config.streaming_chunk_epochs`).
+    """
     if config is not None:
         if overrides:
             raise ConfigError(
                 "pass either a full config= or keyword overrides, not both"
             )
-        return config
-    return StudyConfig.scale(scale, seed=seed, **overrides)
+        return Study(config)
+    return Study(
+        StudyConfig.scale(scale, seed=seed, **overrides),
+        chunk_epochs=streaming_chunk_epochs(scale),
+    )
 
 
 def run_experiment(
@@ -88,10 +100,14 @@ def run_experiment(
         result = run_experiment(
             "redundancy_cov", redundancy="r=3", read_policy="least_loaded"
         )
+
+    ``scale="large"``/``"xlarge"`` build streamed, as on the CLI.
     """
-    study = Study(_resolve_config(config, scale, seed, overrides))
-    study.build(workers=workers)
-    return study.run(experiment_id)
+    study = _study(config, scale, seed, overrides)
+    try:
+        return study.build(workers=workers).run(experiment_id)
+    finally:
+        study.cleanup()
 
 
 def run_study(
@@ -111,12 +127,16 @@ def run_study(
     """
     from repro.core.experiments import experiment_ids
 
-    study = Study(_resolve_config(config, scale, seed, overrides))
-    study.build(workers=workers)
+    study = _study(config, scale, seed, overrides)
     targets = list(experiments) if experiments else experiment_ids()
-    return {
-        experiment_id: study.run(experiment_id) for experiment_id in targets
-    }
+    try:
+        study.build(workers=workers)
+        return {
+            experiment_id: study.run(experiment_id)
+            for experiment_id in targets
+        }
+    finally:
+        study.cleanup()
 
 
 def sweep(
@@ -139,6 +159,8 @@ def sweep(
     points share builds, re-runs replay from cache byte-identically, and
     an interrupted sweep resumes from whatever was already published.
     ``store_dir=None`` uses a temp store (no reuse across calls).
+    Builds from ``scale="large"``/``"xlarge"`` stream, as on the CLI;
+    a ``base=`` config builds in memory unless ``chunk_epochs`` is given.
 
     Returns a :class:`repro.sweep.SweepOutcome`: ``outcome.tables()``
     for the comparison grids, ``outcome.stats`` for hit/miss accounting,
@@ -157,30 +179,26 @@ def sweep(
 
     from repro.sweep import SweepRunner, SweepSpec
 
-    base_config = (
-        base
-        if base is not None
-        else StudyConfig.scale(scale, seed=seed)
-    )
+    if base is None:
+        base = StudyConfig.scale(scale, seed=seed)
+        chunk_epochs = streaming_chunk_epochs(scale, chunk_epochs)
     spec = SweepSpec(
-        base=base_config, axes=dict(axes), experiments=tuple(experiments)
+        base=base, axes=dict(axes), experiments=tuple(experiments)
     )
-    if store_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as temp:
-            return SweepRunner(
-                spec,
-                temp,
-                workers=workers,
-                retries=retries,
-                chunk_epochs=chunk_epochs,
-            ).run()
-    return SweepRunner(
-        spec,
-        store_dir,
-        workers=workers,
-        retries=retries,
-        chunk_epochs=chunk_epochs,
-    ).run()
+
+    def run(directory):
+        return SweepRunner(
+            spec,
+            directory,
+            workers=workers,
+            retries=retries,
+            chunk_epochs=chunk_epochs,
+        ).run()
+
+    if store_dir is not None:
+        return run(store_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as temp:
+        return run(temp)
 
 
 def plan_balance(
@@ -215,7 +233,7 @@ def plan_balance(
     from repro.balance import BalanceConfig, ClusterState, plan_moves
 
     if state is None:
-        study = Study(_resolve_config(config, scale, seed, overrides))
+        study = _study(config, scale, seed, overrides)
         try:
             study.build(workers=workers)
             results = study.results

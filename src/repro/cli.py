@@ -44,6 +44,7 @@ from repro.core import (
     validate_result_payload,
 )
 from repro.cluster.redundancy import READ_POLICY_NAMES
+from repro.core.config import DEFAULT_CHUNK_EPOCHS, streaming_chunk_epochs
 from repro.core.report import ExperimentResult
 from repro.obs.export import EXPORT_FORMATS, export_telemetry
 from repro.obs.runtime import (
@@ -58,11 +59,6 @@ from repro.util.errors import ReproError
 
 _SCALES = SCALE_NAMES
 _READ_POLICIES = READ_POLICY_NAMES
-
-#: ``--scale large``/``xlarge`` only run streamed (their working sets
-#: defeat a monolithic build); this is the shard size they default to.
-_LARGE_DEFAULT_CHUNK_EPOCHS = 4
-_STREAMED_ONLY_SCALES = ("large", "xlarge")
 
 _LOG = logging.getLogger("repro.cli")
 
@@ -97,40 +93,16 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
 def _streaming_options(
     args: argparse.Namespace,
 ) -> "tuple[Optional[int], Optional[str], Optional[int]]":
-    """Resolve ``(chunk_epochs, shard_dir, max_rss_mb)`` for this run.
+    """``(chunk_epochs, shard_dir, max_rss_mb)`` for this run.
 
-    Streaming engages when ``--chunk-epochs N`` (N >= 1) is given, when
-    ``--shard-dir`` / ``--max-rss-mb`` imply it, or by default at
-    ``--scale large``/``xlarge`` (which only work streamed).
-    ``--chunk-epochs 0`` explicitly forces the monolithic path.
+    ``chunk_epochs`` follows :func:`repro.core.config.streaming_chunk_epochs`,
+    the rule :mod:`repro.api` applies too.
     """
-    chunk = getattr(args, "chunk_epochs", None)
     shard_dir = getattr(args, "shard_dir", None)
     max_rss = getattr(args, "max_rss_mb", None)
-    if chunk is not None and chunk < 0:
-        raise ReproError(f"--chunk-epochs must be >= 0, got {chunk}")
-    if chunk == 0:
-        if args.scale in _STREAMED_ONLY_SCALES:
-            raise ReproError(
-                f"--scale {args.scale} only runs streamed; use a positive "
-                "--chunk-epochs (or omit the flag for the default of "
-                f"{_LARGE_DEFAULT_CHUNK_EPOCHS})"
-            )
-        if shard_dir is not None or max_rss is not None:
-            raise ReproError(
-                "--shard-dir/--max-rss-mb require the streaming engine; "
-                "drop --chunk-epochs 0 or pick a positive chunk size"
-            )
-        return None, None, None
-    if chunk is None:
-        if (
-            args.scale in _STREAMED_ONLY_SCALES
-            or shard_dir is not None
-            or max_rss is not None
-        ):
-            chunk = _LARGE_DEFAULT_CHUNK_EPOCHS
-        else:
-            return None, None, None
+    chunk = streaming_chunk_epochs(
+        args.scale, getattr(args, "chunk_epochs", None), shard_dir, max_rss
+    )
     return chunk, shard_dir, max_rss
 
 
@@ -168,31 +140,17 @@ def _config(args: argparse.Namespace) -> StudyConfig:
 def _study(args: argparse.Namespace) -> Study:
     config = _config(args)
     chunk_epochs, shard_dir, max_rss_mb = _streaming_options(args)
-    series_dtype = getattr(args, "series_dtype", None) or "float64"
     if chunk_epochs is not None:
         _LOG.info(
             "streaming engine on: chunk_epochs=%d shard_dir=%s "
-            "max_rss_mb=%s series=%s (results identical to a "
-            "monolithic run at float64)",
-            chunk_epochs, shard_dir or "<temp>", max_rss_mb, series_dtype,
-        )
-    elif series_dtype != "float64":
-        raise ReproError(
-            f"--series-dtype {series_dtype} sets the shard store's series "
-            "dtype and needs the streaming engine; add --chunk-epochs N "
-            "(or --shard-dir/--max-rss-mb), or drop the flag"
-        )
-    if series_dtype == "float32":
-        _LOG.warning(
-            "float32 series storage halves shard bytes but changes "
-            "result digests; do not compare against float64 baselines"
+            "max_rss_mb=%s (results identical to a monolithic run)",
+            chunk_epochs, shard_dir or "<temp>", max_rss_mb,
         )
     return Study(
         config,
         chunk_epochs=chunk_epochs,
         shard_dir=shard_dir,
         max_rss_mb=max_rss_mb,
-        series_dtype=series_dtype,
     )
 
 
@@ -213,7 +171,6 @@ def _write_digest(study: Study, args: argparse.Namespace) -> None:
         "scale": args.scale,
         "seed": args.seed,
         "chunk_epochs": study.chunk_epochs,
-        "series_dtype": study.series_dtype,
         "per_dc": per_dc,
         "combined": combined,
     }
@@ -263,7 +220,6 @@ def _finish_telemetry(
             "experiment": getattr(args, "experiment", None),
             "fault_plan": getattr(args, "fault_plan", None),
             "chunk_epochs": getattr(args, "chunk_epochs", None),
-            "series_dtype": getattr(args, "series_dtype", None),
             "version": __version__,
             "peak_rss_bytes": peak_rss_bytes(),
         }
@@ -1260,10 +1216,10 @@ def _add_streaming_flags(command: argparse.ArgumentParser) -> None:
         default=None,
         metavar="K",
         dest="chunk_epochs",
-        help="stream the simulation in time shards of K epochs "
+        help="stream the simulation in time shards of K >= 1 epochs "
         "(1 epoch = 60 simulated seconds); results are byte-identical "
-        "to a monolithic run for any K.  0 forces the monolithic path; "
-        f"--scale large defaults to {_LARGE_DEFAULT_CHUNK_EPOCHS}",
+        "to a monolithic run for any K.  --scale large/xlarge default "
+        f"to {DEFAULT_CHUNK_EPOCHS}",
     )
     command.add_argument(
         "--max-rss-mb",
@@ -1282,16 +1238,6 @@ def _add_streaming_flags(command: argparse.ArgumentParser) -> None:
         dest="shard_dir",
         help="directory for the on-disk shard store (implies streaming; "
         "default: a per-run temp dir, purged after the run)",
-    )
-    command.add_argument(
-        "--series-dtype",
-        choices=("float64", "float32"),
-        default="float64",
-        dest="series_dtype",
-        help="on-disk series dtype of the shard store (streamed runs "
-        "only); float32 halves shard bytes but is lossy: results stay "
-        "deterministic, digests differ from float64 runs (re-pin any "
-        "golden digest before relying on them)",
     )
 
 
@@ -1760,9 +1706,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         dest="chunk_epochs",
-        help="run build nodes through the streaming engine in K-epoch "
-        "shards (cache keys and results are unchanged); as for 'run', "
-        "0 builds in memory and --scale large/xlarge stream by default",
+        help="run build nodes through the streaming engine in shards of "
+        "K >= 1 epochs (cache keys and results are unchanged); as for "
+        "'run', --scale large/xlarge stream by default",
     )
     sweep.add_argument(
         "--telemetry",

@@ -907,10 +907,7 @@ class EBSSimulator:
         elementwise operations the unfused code ran (``np.take`` +
         in-place ``multiply``/``add``/``greater_equal`` with ``out=``),
         so values — and digests — are bit-identical; only the allocator
-        traffic changes.  Series gathered from a float32 raw store keep
-        float32 through the elementwise stage (results deterministic,
-        digests re-pinned); the load grids and metric tables accumulate
-        in float64 as always.
+        traffic changes.
         """
         fleet = self.fleet
         cfg = self.config

@@ -168,7 +168,7 @@ class StudyConfig:
         - ``"medium"`` — the benchmark default: enough periods for the
           §6 experiments;
         - ``"large"`` — longer and larger for tighter statistics (runs
-          streamed by default on the CLI);
+          streamed by default: :func:`streaming_chunk_epochs`);
         - ``"xlarge"`` — the raw-speed tier: >=100k VMs across the three
           DCs (only runs streamed; pair with ``--max-rss-mb``).  Trace
           sampling and the metric-recording thresholds are scaled so
@@ -276,3 +276,36 @@ _SCALE_PRESETS = {
 #: The preset names accepted by :meth:`StudyConfig.scale` (and the CLI's
 #: ``--scale`` flag).
 SCALE_NAMES = tuple(_SCALE_PRESETS)
+
+#: Scales whose working sets defeat an in-memory build: they only run
+#: streamed, in shards of :data:`DEFAULT_CHUNK_EPOCHS` epochs by default.
+STREAMED_ONLY_SCALES = ("large", "xlarge")
+DEFAULT_CHUNK_EPOCHS = 4
+
+
+def streaming_chunk_epochs(
+    scale: str,
+    chunk_epochs: Optional[int] = None,
+    shard_dir: Optional[str] = None,
+    max_rss_mb: Optional[int] = None,
+) -> Optional[int]:
+    """The shard size a build of preset ``scale`` streams in; None: in memory.
+
+    The one streaming rule of the CLI and :mod:`repro.api`: an explicit
+    ``chunk_epochs`` (K >= 1) wins; otherwise ``large``/``xlarge``
+    stream by default, and a shard directory or a memory ceiling imply
+    streaming.  Every other build is in memory.
+    """
+    if chunk_epochs is not None:
+        if chunk_epochs < 1:
+            raise ConfigError(
+                f"chunk_epochs must be >= 1, got {chunk_epochs}"
+            )
+        return chunk_epochs
+    if (
+        scale in STREAMED_ONLY_SCALES
+        or shard_dir is not None
+        or max_rss_mb is not None
+    ):
+        return DEFAULT_CHUNK_EPOCHS
+    return None

@@ -49,7 +49,9 @@ def extra_faults_sweep(study) -> ExperimentResult:
     differ in skew mix (Table 3), which is what makes this a skew x
     failure sensitivity sweep.  Redundant placement does not model QP
     stalls, so under it the drawn plans lose their ``qp_stall`` events
-    (after the draw: every single-copy plan is unchanged).
+    (after the draw: every single-copy plan is unchanged), and its crash
+    adjustment fails reads over whatever the policy, so both policies'
+    rows agree there; the notes say so only under redundancy.
     """
     redundant = study.config.simulation_config().redundancy_config()
     rows = []
@@ -123,7 +125,9 @@ def extra_faults_sweep(study) -> ExperimentResult:
             if redundant is None
             else " Redundant placement does not model QP stalls: the "
             "drawn plans' qp_stall events are dropped, and 'events' "
-            "counts the rest."
+            "counts the rest.  A crashed copy's reads fail over to a "
+            "surviving copy and its writes are dropped whatever the "
+            "policy, so the redirect and queue rows agree."
         ),
     )
 

@@ -61,7 +61,6 @@ def build_dc(
     chunk_epochs: "Optional[int]" = None,
     shard_dir: "Optional[str]" = None,
     max_rss_mb: "Optional[int]" = None,
-    series_dtype: str = "float64",
 ) -> "tuple[SimulationResult, Optional[object]]":
     """Build one DC's fleet and simulate it: the one build path.
 
@@ -94,7 +93,6 @@ def build_dc(
                 None if shard_dir is None else f"{shard_dir}/dc{dc_id:02d}"
             ),
             max_rss_mb=max_rss_mb,
-            series_dtype=series_dtype,
         )
         try:
             result = simulator.run(workers=workers, traffic=engine.spill())
@@ -118,7 +116,6 @@ class Study:
         chunk_epochs: "Optional[int]" = None,
         shard_dir: "Optional[str]" = None,
         max_rss_mb: "Optional[int]" = None,
-        series_dtype: str = "float64",
     ):
         self.config = config if config is not None else StudyConfig()
         self.rngs = RngFactory(self.config.seed)
@@ -128,14 +125,13 @@ class Study:
             raise ConfigError(
                 f"chunk_epochs must be >= 1, got {chunk_epochs}"
             )
-        # Streaming-only options (name, value, default): a monolithic
-        # build would accept and then ignore them.
-        for name, value, default in (
-            ("series_dtype", series_dtype, "float64"),
-            ("shard_dir", shard_dir, None),
-            ("max_rss_mb", max_rss_mb, None),
+        # Streaming-only options: a monolithic build would accept and
+        # then ignore them.
+        for name, value in (
+            ("shard_dir", shard_dir),
+            ("max_rss_mb", max_rss_mb),
         ):
-            if value != default and chunk_epochs is None:
+            if value is not None and chunk_epochs is None:
                 raise ConfigError(
                     f"{name}={value!r} applies only to a streamed build; "
                     "pass chunk_epochs or keep the default"
@@ -146,9 +142,6 @@ class Study:
         self.chunk_epochs = chunk_epochs
         self.shard_dir = shard_dir
         self.max_rss_mb = max_rss_mb
-        #: Streamed-build shard-store series dtype (``"float32"`` is the
-        #: digest-gated opt-in).
-        self.series_dtype = series_dtype
         self._engines: List[object] = []
 
     @classmethod
@@ -244,7 +237,6 @@ class Study:
                         self.chunk_epochs,
                         self.shard_dir,
                         self.max_rss_mb,
-                        self.series_dtype,
                     )
                     built.append((result, engine))
                     # Kept at once, so cleanup() purges this DC's store

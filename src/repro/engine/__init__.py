@@ -24,17 +24,11 @@ from repro.engine.digest import result_digest, snapshot_digest
 from repro.engine.executor import StreamingSimulator
 from repro.engine.merge import ShardPart, merge_shard_parts
 from repro.engine.plan import EPOCH_SECONDS, StreamPlan, plan_for
-from repro.engine.shards import (
-    SERIES_DTYPES,
-    ShardStore,
-    StreamedTraffic,
-    purge_store,
-)
+from repro.engine.shards import ShardStore, StreamedTraffic, purge_store
 
 __all__ = [
     "Arena",
     "EPOCH_SECONDS",
-    "SERIES_DTYPES",
     "ShardPart",
     "ShardStore",
     "StreamPlan",

@@ -39,12 +39,7 @@ from typing import Optional
 
 from repro.cluster.simulator import EBSSimulator, stack_weights
 from repro.engine.plan import EPOCH_SECONDS, StreamPlan, plan_for
-from repro.engine.shards import (
-    ShardStore,
-    StreamedTraffic,
-    parse_series_dtype,
-    purge_store,
-)
+from repro.engine.shards import ShardStore, StreamedTraffic, purge_store
 from repro.obs.runtime import get_telemetry
 from repro.util.errors import ConfigError
 from repro.workload.generator import WorkloadGenerator
@@ -61,9 +56,7 @@ class StreamingSimulator:
         max_rss_mb: "Optional[int]" = None,
         epoch_seconds: int = EPOCH_SECONDS,
         vd_batch_size: "Optional[int]" = None,
-        series_dtype: str = "float64",
     ):
-        itemsize = parse_series_dtype(series_dtype).itemsize
         self._sim = simulator
         self.plan: StreamPlan = plan_for(
             duration_seconds=simulator.config.duration_seconds,
@@ -72,7 +65,6 @@ class StreamingSimulator:
             epoch_seconds=epoch_seconds,
             max_rss_mb=max_rss_mb,
             vd_batch_size=vd_batch_size,
-            series_itemsize=itemsize,
         )
         #: True when we created a temp dir and own its cleanup.
         self.owns_directory = shard_dir is None
@@ -81,9 +73,7 @@ class StreamingSimulator:
             if shard_dir is None
             else str(shard_dir)
         )
-        self.store = ShardStore(
-            self._directory, self.plan, series_dtype=series_dtype
-        )
+        self.store = ShardStore(self._directory, self.plan)
 
     def cleanup(self) -> None:
         """Delete the shard store if this run created a temp directory."""

@@ -23,10 +23,9 @@ EPOCH_SECONDS = 60
 
 #: Default VD-batch sizing target: series bytes held live per batch.
 _DEFAULT_BATCH_BYTES = 64 * 2**20
-#: Series per (VD, second): rb, wb, ri, wi, hot.
-_SERIES_PER_VD = 5
-#: Bytes per (VD, second) at the default float64 storage dtype.
-_SERIES_BYTES_PER_SECOND = _SERIES_PER_VD * 8
+#: Series bytes per (VD, second): five float64 series (rb, wb, ri, wi,
+#: hot).
+_SERIES_BYTES_PER_SECOND = 5 * 8
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ def plan_for(
     epoch_seconds: int = EPOCH_SECONDS,
     max_rss_mb: "int | None" = None,
     vd_batch_size: "int | None" = None,
-    series_itemsize: int = 8,
 ) -> StreamPlan:
     """Build a :class:`StreamPlan`, sizing VD batches from a memory target.
 
@@ -99,24 +97,14 @@ def plan_for(
     (leaving headroom for the pass-1 window temporaries and the merged
     tables).  It never changes *results* — only how much lives in RAM at
     once — so any value is digest-identical to any other.
-
-    ``series_itemsize`` is the on-disk bytes per series value (8 for
-    float64 stores, 4 for the opt-in float32 raw format), so halving the
-    storage dtype doubles the VDs per batch under the same ceiling.
     """
-    if series_itemsize <= 0:
-        raise ConfigError(
-            f"series_itemsize must be positive, got {series_itemsize}"
-        )
     if vd_batch_size is None:
         budget = (
             max_rss_mb * 2**20 // 4
             if max_rss_mb is not None
             else _DEFAULT_BATCH_BYTES
         )
-        per_vd = max(
-            1, duration_seconds * _SERIES_PER_VD * series_itemsize
-        )
+        per_vd = max(1, duration_seconds * _SERIES_BYTES_PER_SECOND)
         vd_batch_size = max(1, min(num_vds, budget // per_vd))
     return StreamPlan(
         duration_seconds=duration_seconds,

@@ -2,7 +2,7 @@
 
 Layout of one store directory::
 
-    manifest.json                 # schema, plan geometry, series dtype
+    manifest.json                 # schema, plan geometry
     series_s0003_b0001.npy        # one (5, batch_vds, shard_len) block
     static_b0001.pkl              # per-VD weights / LBA model / sizes
     weights.npz                   # stacked weights + per-VD byte totals
@@ -11,13 +11,8 @@ Series are stored raw: one plain ``.npy`` per (shard, batch) holding a
 single ``(5, batch_vds, shard_len)`` block.  Readers open it with
 ``np.load(..., mmap_mode="r")``: the kernel pages bytes in lazily and
 pool workers share the page cache instead of each materializing their
-own copy.  At float64 a store round-trips bitwise, so run digests are
-identical to the in-memory run's.
-
-Series may be stored as float32 (``series_dtype``), halving disk and
-resident bytes.  The cast is lossy: results are still fully
-deterministic, but digests differ from float64 runs — callers opt in
-explicitly and re-pin their golden digests (see docs/architecture.md).
+own copy.  Series stay float64, so a store round-trips bitwise and run
+digests are identical to the in-memory run's.
 
 The per-VD static payload (weight vectors, the :class:`HotspotLbaModel`
 with its draw-time state, mean IO sizes) is pickled once, at the same
@@ -40,12 +35,10 @@ from repro.engine.plan import StreamPlan
 from repro.util.errors import ConfigError
 from repro.workload.generator import VdTraffic
 
-#: Version 4 stores every series raw and adds the per-VD byte totals
-#: to ``weights.npz``; stores of older versions are rejected, not
-#: converted.
-SHARD_SCHEMA_VERSION = 4
-
-SERIES_DTYPES = ("float64", "float32")
+#: Version 5 stores every series raw as float64, with the per-VD byte
+#: totals in ``weights.npz``; stores of older versions are rejected,
+#: not converted.
+SHARD_SCHEMA_VERSION = 5
 
 _SERIES_FIELDS = (
     "read_bytes", "write_bytes", "read_iops", "write_iops",
@@ -61,28 +54,12 @@ _STATIC_FIELDS = (
 _WEIGHT_KEYS = ("qp_rw", "qp_ww", "seg_rw", "seg_ww", "vd_rt", "vd_wt")
 
 
-def parse_series_dtype(name: str) -> np.dtype:
-    """The numpy dtype of a series dtype name; ConfigError if unknown."""
-    if name not in SERIES_DTYPES:
-        raise ConfigError(
-            f"unknown series dtype {name!r}; choose from {SERIES_DTYPES}"
-        )
-    return np.dtype(name)
-
-
 class ShardStore:
     """Columnar spill/reload of per-VD traffic, cut by (shard, batch)."""
 
-    def __init__(
-        self,
-        directory: "str | Path",
-        plan: StreamPlan,
-        series_dtype: str = "float64",
-    ):
-        self._dtype = parse_series_dtype(series_dtype)
+    def __init__(self, directory: "str | Path", plan: StreamPlan):
         self.directory = Path(directory)
         self.plan = plan
-        self.series_dtype = series_dtype
 
     # -- paths ---------------------------------------------------------------
 
@@ -113,8 +90,7 @@ class ShardStore:
         for shard in range(self.plan.num_shards):
             t0, t1 = self.plan.shard_bounds(shard)
             block = np.empty(
-                (len(_SERIES_FIELDS), len(traffic), t1 - t0),
-                dtype=self._dtype,
+                (len(_SERIES_FIELDS), len(traffic), t1 - t0)
             )
             for fi, field in enumerate(_SERIES_FIELDS):
                 for vi, tr in enumerate(traffic):
@@ -139,7 +115,6 @@ class ShardStore:
         plan = self.plan
         self.manifest_path.write_text(json.dumps({
             "schema_version": SHARD_SCHEMA_VERSION,
-            "series_dtype": self.series_dtype,
             "duration_seconds": plan.duration_seconds,
             "epoch_seconds": plan.epoch_seconds,
             "chunk_epochs": plan.chunk_epochs,
@@ -155,8 +130,7 @@ class ShardStore:
     def open(cls, directory: "str | Path") -> "ShardStore":
         """Open a finalized store from its manifest (e.g. in a worker).
 
-        The series dtype comes from the manifest.  Stores written with
-        an older schema are scratch data from an earlier build: they are
+        Stores written with an older schema are scratch data from an earlier build: they are
         rejected with a message to delete them and re-run.
         """
         directory = Path(directory)
@@ -178,7 +152,7 @@ class ShardStore:
             num_vds=manifest["num_vds"],
             vd_batch_size=manifest["vd_batch_size"],
         )
-        return cls(directory, plan, series_dtype=manifest["series_dtype"])
+        return cls(directory, plan)
 
     def stacked_weights(
         self,
@@ -203,8 +177,7 @@ class ShardStore:
 
         Rows are in VD-id order (batches are contiguous fleet-order
         ranges), so each matrix is bitwise equal to the corresponding
-        time slice of the in-memory stacked series (after the storage
-        dtype's cast, for float32 stores).
+        time slice of the in-memory stacked series.
 
         Single-batch stores return zero-copy memmap views; multi-batch
         stores copy batch rows into one destination block per field
@@ -217,14 +190,11 @@ class ShardStore:
         shape = (self.plan.num_vds, t1 - t0)
         if arena is not None:
             out = tuple(
-                arena.take(f"shards.series.{field}", shape, self._dtype)
+                arena.take(f"shards.series.{field}", shape)
                 for field in _SERIES_FIELDS[:4]
             )
         else:
-            out = tuple(
-                np.empty(shape, dtype=self._dtype)
-                for _ in _SERIES_FIELDS[:4]
-            )
+            out = tuple(np.empty(shape) for _ in _SERIES_FIELDS[:4])
         for batch in range(self.plan.num_batches):
             v0, v1 = self.plan.batch_bounds(batch)
             mm = self._raw_block(shard, batch)
@@ -235,8 +205,8 @@ class ShardStore:
     def traffic_batch(self, batch: int) -> List[VdTraffic]:
         """Reassemble one batch of full-duration :class:`VdTraffic`.
 
-        Time slices concatenate back to the exact original arrays (modulo
-        the storage dtype) and the static payload unpickles to the exact
+        Time slices concatenate back to the exact original arrays and the
+        static payload unpickles to the exact
         spill-time object state, so pass 2 draws the same streams it
         would have drawn in memory.
         """
@@ -244,8 +214,7 @@ class ShardStore:
             static = pickle.load(fh)
         v0, v1 = self.plan.batch_bounds(batch)
         block = np.empty(
-            (len(_SERIES_FIELDS), v1 - v0, self.plan.duration_seconds),
-            dtype=self._dtype,
+            (len(_SERIES_FIELDS), v1 - v0, self.plan.duration_seconds)
         )
         for shard in range(self.plan.num_shards):
             t0, t1 = self.plan.shard_bounds(shard)

@@ -3,9 +3,9 @@
 The paper's conclusions are crossover comparisons swept over knobs —
 cache size and placement (§7), lending ratio (§5), balancer strategy
 (§6).  This package makes such sweeps *incremental*: every study
-decomposes into a DAG of content-addressed nodes (per-DC builds,
-per-experiment analyses, per-point aggregates) whose outputs memoize in
-an on-disk :class:`ArtifactStore`.  Overlapping sweep points share
+decomposes into a two-level DAG of content-addressed nodes (per-DC
+builds feeding per-experiment analyses) whose outputs memoize in an
+on-disk :class:`ArtifactStore`.  Overlapping sweep points share
 builds, warm re-runs are pure cache replay, and an interrupted sweep
 resumes from whatever was already published — with results byte-
 identical to a cold single-shot run (see ``SweepOutcome.combined_digest``).
@@ -14,9 +14,9 @@ Module map::
 
     canonical     canonical config payloads -> sha256 cache keys
     store         atomic, content-addressed on-disk artifacts
-    dag           node decomposition (build -> experiment -> point)
+    dag           node decomposition (build -> experiment)
     grid          SweepSpec axes, point expansion, the --axis language
-    orchestrator  SweepRunner scheduling, retries, stats, grids
+    orchestrator  SweepRunner: one ready-queue scheduler, retries, stats, grids
 
 Prefer the facade: :func:`repro.api.sweep`.
 """
@@ -28,7 +28,6 @@ from repro.sweep.canonical import (
     config_digest,
     digest_payload,
     experiment_key,
-    point_key,
     result_table_digest,
 )
 from repro.sweep.dag import NodeKind, SweepNode, merge_dags, study_nodes
@@ -69,7 +68,6 @@ __all__ = [
     "override_label",
     "parse_axes",
     "parse_axis",
-    "point_key",
     "result_table_digest",
     "study_nodes",
 ]

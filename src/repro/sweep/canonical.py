@@ -156,18 +156,6 @@ def experiment_key(config, experiment_id: str) -> str:
     )
 
 
-def point_key(config, experiment_ids) -> str:
-    """Content key of one sweep point's aggregate node."""
-    return digest_payload(
-        {
-            "schema": CODE_SCHEMA_VERSION,
-            "kind": "point",
-            "experiments": [str(e) for e in experiment_ids],
-            "config": canonical_value(config),
-        }
-    )
-
-
 def result_table_digest(result_dict: Dict[str, Any]) -> str:
     """Digest of one experiment's rendered table (its ``to_dict`` form).
 

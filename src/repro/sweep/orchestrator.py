@@ -3,11 +3,13 @@
 :class:`SweepRunner` expands a :class:`~repro.sweep.grid.SweepSpec` into
 the merged node DAG (:mod:`repro.sweep.dag`), consults the
 content-addressed :class:`~repro.sweep.store.ArtifactStore` for every
-node, and executes only the *needed misses* — the transitive closure of
-uncached work under uncached sinks.  Ready nodes run with bounded
-concurrency on a process pool (``workers``) with per-node retry; every
-completed node's output is published atomically before the node is
-marked done, so an interrupted sweep resumes exactly where it stopped.
+node, and executes only the *needed misses*: the missed experiments (the
+DAG's sinks) and the missed builds they read.  One ready-queue loop
+schedules them with bounded concurrency (``workers``) and per-node
+retry, on a process pool or, at ``workers == 1``, on an in-process
+executor.  Every completed node's output is published atomically before
+the node is marked done, so an interrupted sweep resumes exactly where
+it stopped.
 
 Determinism contract: a warm replay, a resumed run, and a cold run of
 the same spec produce byte-identical experiment tables — cache hits
@@ -23,7 +25,13 @@ and ``sweep.run`` / ``sweep.node`` spans.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -34,6 +42,7 @@ from repro.obs.runtime import get_telemetry, merge_traced, run_traced
 from repro.sweep.canonical import (
     CODE_SCHEMA_VERSION,
     digest_payload,
+    experiment_key,
     result_table_digest,
 )
 from repro.sweep.dag import NodeKind, SweepNode, merge_dags, study_nodes
@@ -117,6 +126,22 @@ _NODE_RUNNERS = {
     NodeKind.BUILD: _run_build_node,
     NodeKind.EXPERIMENT: _run_experiment_node,
 }
+
+
+class _InProcessExecutor(Executor):
+    """Runs each call in this process, at submit: the ``workers == 1`` pool.
+
+    Node code, patched runners and telemetry stay in the parent, and
+    nothing is pickled.  ``KeyboardInterrupt``/``SystemExit`` propagate.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
 # -- stats / outcome ----------------------------------------------------------
@@ -308,7 +333,6 @@ class SweepRunner:
                     point.config,
                     self.spec.experiments,
                     chunk_epochs=self.chunk_epochs,
-                    point_index=point.index,
                 )
                 for point in points
             ]
@@ -319,22 +343,16 @@ class SweepRunner:
         nodes: List[SweepNode],
         cached: Dict[str, bool],
     ) -> List[SweepNode]:
-        """Misses in the demand closure of missed sinks, topo-ordered."""
-        by_key = {node.key: node for node in nodes}
-        needed: Dict[str, SweepNode] = {}
+        """Missed experiments (the sinks) and the missed builds they read.
 
-        def need(key: str) -> None:
-            if cached[key] or key in needed:
-                return
-            needed[key] = by_key[key]
-            for dep in by_key[key].deps:
-                need(dep)
-
+        ``nodes`` is dependency-ordered (each point's builds before its
+        experiments), and so is the returned list.
+        """
+        needed = set()
         for node in nodes:
-            if node.kind is NodeKind.POINT:
-                need(node.key)
-        # nodes is already dependency-ordered (builds before experiments
-        # before points, per point expansion order).
+            if node.kind is NodeKind.EXPERIMENT and not cached[node.key]:
+                needed.add(node.key)
+                needed.update(dep for dep in node.deps if not cached[dep])
         return [node for node in nodes if node.key in needed]
 
     # -- execution ------------------------------------------------------------
@@ -382,213 +400,99 @@ class SweepRunner:
         payload["store_dir"] = str(self.store.directory)
         return payload
 
-    def _run_point_node(self, node: SweepNode) -> None:
-        """Point nodes aggregate in-parent (they are trivially cheap)."""
-        digests: Dict[str, str] = {}
-        context = node.context
-        for experiment_id, key in zip(
-            context["experiment_ids"], context["experiment_keys"]
-        ):
-            envelope = self.store.get(key)
-            if envelope is None:
-                raise SweepError(
-                    f"point {node.label} is missing its experiment "
-                    f"artifact {key[:12]}"
-                )
-            digests[experiment_id] = envelope["payload"]["table_digest"]
-        self.store.put(
-            node.key,
-            "point",
-            payload={
-                "point_index": context["point_index"],
-                "experiment_keys": list(context["experiment_keys"]),
-                "table_digests": digests,
-            },
-        )
-
-    def _attempt(
-        self, node: SweepNode, attempt: int, stats: SweepStats, telemetry
-    ) -> None:
-        """One inline execution attempt (workers == 1 path)."""
-        if self._node_hook is not None:
-            self._node_hook(node, attempt)
-        if node.kind is NodeKind.POINT:
-            self._run_point_node(node)
-            return
-        # Attempts run against a fresh worker handle (the pool protocol)
-        # and only the attempt that *succeeded* merges back: a failed-
-        # then-retried node must not double-count its partial metrics in
-        # the parent's snapshot.
-        [outcome] = merge_traced([run_traced(
-            _NODE_RUNNERS[node.kind],
-            self._payload_for(node),
-            fresh=telemetry.enabled,
-        )])
-        telemetry.histogram(
-            "sweep.node_seconds", kind=node.kind.value
-        ).observe(outcome["elapsed_s"])
-
-    def _execute_inline(
+    def _execute(
         self, todo: List[SweepNode], stats: SweepStats, telemetry
     ) -> None:
-        for node in todo:
-            failures: List[BaseException] = []
-            for attempt in range(self.retries + 1):
-                if attempt:
-                    stats.retries += 1
-                    telemetry.counter(
-                        "sweep.node_retries", kind=node.kind.value
-                    ).inc()
-                try:
-                    self._attempt(node, attempt, stats, telemetry)
-                    break
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as error:
-                    failures.append(error)
-            else:
-                # ``from failures[-1]`` keeps the final attempt's real
-                # traceback on the chain; the key pinpoints the store
-                # entry for post-mortem (``label`` is not unique across
-                # chunking variants).
-                raise SweepError(
-                    f"node {node.label} (key {node.key[:12]}) failed "
-                    f"after {self.retries + 1} attempt(s): {failures[-1]}"
-                ) from failures[-1]
-            stats.executed += 1
-            telemetry.counter(
-                "sweep.nodes_executed", kind=node.kind.value
-            ).inc()
+        """Run ``todo`` in dependency order, ``workers`` nodes at a time.
 
-    def _execute_pool(
-        self, todo: List[SweepNode], stats: SweepStats, telemetry
-    ) -> None:
-        """Bounded-concurrency scheduling over a process pool.
-
-        Ready nodes (all deps done) dispatch as slots free up; point
-        nodes aggregate in-parent.  Worker telemetry snapshots merge in
-        node order post-run (integer counters: order-independent).
+        One ready-queue loop for every worker count: ready nodes (all
+        deps done) are submitted in node order as slots free up, to a
+        process pool, or at ``workers == 1`` to an in-process executor
+        that runs each call at once.  The hook runs in the parent before
+        every attempt; a hook or node failure costs one attempt.  Each
+        attempt runs under a fresh telemetry handle, so only successful
+        attempts' snapshots merge back, in node order.
         """
-        by_key = {node.key: node for node in todo}
-        done: set = set()
-        remaining_deps = {
-            node.key: {dep for dep in node.deps if dep in by_key}
-            for node in todo
-        }
-        attempts: Dict[str, int] = {node.key: 0 for node in todo}
+        attempts = {node.key: 0 for node in todo}
         # key -> (outcome, snapshot) of the node's successful attempt.
         traced: Dict[str, Any] = {}
-        in_flight: Dict[Any, str] = {}
-
-        def ready() -> List[SweepNode]:
-            return [
-                node
-                for node in todo
-                if node.key not in done
-                and node.key not in set(in_flight.values())
-                and not remaining_deps[node.key]
-            ]
-
-        def mark_done(key: str) -> None:
-            done.add(key)
-            node = by_key[key]
-            stats.executed += 1
-            telemetry.counter(
-                "sweep.nodes_executed", kind=node.kind.value
-            ).inc()
-            for other in todo:
-                remaining_deps[other.key].discard(key)
-
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            while len(done) < len(todo):
-                for node in ready():
-                    if len(in_flight) >= self.workers and (
-                        node.kind is not NodeKind.POINT
-                    ):
-                        break
-                    try:
-                        # The hook's documented contract: an exception
-                        # counts as this attempt's failure (same as the
-                        # inline path), it must not abort the sweep
-                        # while retry budget remains.
-                        if self._node_hook is not None:
-                            self._node_hook(node, attempts[node.key])
-                        if node.kind is NodeKind.POINT:
-                            self._run_point_node(node)
-                            mark_done(node.key)
-                            continue
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as error:
-                        attempts[node.key] += 1
-                        if attempts[node.key] > self.retries:
-                            raise SweepError(
-                                f"node {node.label} (key "
-                                f"{node.key[:12]}) failed after "
-                                f"{attempts[node.key]} attempt(s): {error}"
-                            ) from error
-                        stats.retries += 1
-                        telemetry.counter(
-                            "sweep.node_retries", kind=node.kind.value
-                        ).inc()
-                        continue
-                    future = pool.submit(
-                        run_traced,
-                        _NODE_RUNNERS[node.kind],
-                        self._payload_for(node),
-                        fresh=telemetry.enabled,
-                    )
-                    in_flight[future] = node.key
-                if not in_flight:
-                    if len(done) < len(todo) and not ready():
+        in_flight: Dict[Future, SweepNode] = {}
+        pool = (
+            ProcessPoolExecutor(max_workers=self.workers)
+            if self.workers > 1
+            else _InProcessExecutor()
+        )
+        try:
+            with pool:
+                while len(traced) < len(todo):
+                    busy = {node.key for node in in_flight.values()}
+                    ready = [
+                        node for node in todo
+                        if node.key not in traced and node.key not in busy
+                        and all(
+                            dep in traced or dep not in attempts
+                            for dep in node.deps
+                        )
+                    ]
+                    for node in ready[: self.workers - len(in_flight)]:
+                        future: Future = Future()
+                        try:
+                            if self._node_hook is not None:
+                                self._node_hook(node, attempts[node.key])
+                            future = pool.submit(
+                                run_traced,
+                                _NODE_RUNNERS[node.kind],
+                                self._payload_for(node),
+                                fresh=telemetry.enabled,
+                            )
+                        except Exception as error:
+                            future.set_exception(error)
+                        in_flight[future] = node
+                    if not in_flight:
                         raise SweepError(
                             "sweep scheduler stalled: no ready nodes and "
                             "nothing in flight (dependency bug?)"
                         )
-                    continue
-                finished, _ = wait(
-                    list(in_flight), return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    key = in_flight.pop(future)
-                    node = by_key[key]
-                    error = future.exception()
-                    if error is None:
-                        traced[key] = future.result()
-                        telemetry.histogram(
-                            "sweep.node_seconds", kind=node.kind.value
-                        ).observe(traced[key][0]["elapsed_s"])
-                        mark_done(key)
-                        continue
-                    attempts[key] += 1
-                    if attempts[key] > self.retries:
-                        raise SweepError(
-                            f"node {node.label} (key {node.key[:12]}) "
-                            f"failed after {attempts[key]} attempt(s): "
-                            f"{error}"
-                        ) from error
-                    stats.retries += 1
-                    telemetry.counter(
-                        "sweep.node_retries", kind=node.kind.value
-                    ).inc()
-        # Deterministic merge order: node order, not completion order.
-        merge_traced(traced[node.key] for node in todo if node.key in traced)
-
-    def _execute(
-        self, todo: List[SweepNode], stats: SweepStats, telemetry
-    ) -> None:
-        if self.workers == 1:
-            self._execute_inline(todo, stats, telemetry)
-        else:
-            self._execute_pool(todo, stats, telemetry)
+                    finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        node = in_flight.pop(future)
+                        kind = node.kind.value
+                        error = future.exception()
+                        if error is None:
+                            traced[node.key] = future.result()
+                            telemetry.histogram(
+                                "sweep.node_seconds", kind=kind
+                            ).observe(traced[node.key][0]["elapsed_s"])
+                            stats.executed += 1
+                            telemetry.counter(
+                                "sweep.nodes_executed", kind=kind
+                            ).inc()
+                            continue
+                        attempts[node.key] += 1
+                        if attempts[node.key] > self.retries:
+                            # The key names the store entry (``label``
+                            # is not unique across chunking variants);
+                            # the chain keeps the last attempt's traceback.
+                            raise SweepError(
+                                f"node {node.label} (key {node.key[:12]}) "
+                                f"failed after {attempts[node.key]} "
+                                f"attempt(s): {error}"
+                            ) from error
+                        stats.retries += 1
+                        telemetry.counter(
+                            "sweep.node_retries", kind=kind
+                        ).inc()
+        finally:
+            # Node order, not completion order: a deterministic merge.
+            merge_traced(
+                traced[node.key] for node in todo if node.key in traced
+            )
 
     # -- harvesting -----------------------------------------------------------
 
     def _collect(
         self, points: List[SweepPoint]
     ) -> "Tuple[Dict[int, Dict[str, ExperimentResult]], Dict[int, Dict[str, str]]]":
-        from repro.sweep.canonical import experiment_key
-
         results: Dict[int, Dict[str, ExperimentResult]] = {}
         digests: Dict[int, Dict[str, str]] = {}
         for point in points:

@@ -213,3 +213,94 @@ class TestSaveLoad:
         message = str(excinfo.value)
         assert "result_schema_version" in message
         assert "missing 'title'" in message
+
+
+class TestStreamingRule:
+    """The API streams the large tiers as the CLI does (no build runs)."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        import repro.api as api
+        import repro.sweep as sweep_package
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        class FakeStudy:
+            def __init__(self, config, **kwargs):
+                seen["chunk_epochs"] = kwargs.get("chunk_epochs")
+
+            def build(self, workers=1):
+                raise Stop
+
+            def cleanup(self):
+                seen["cleaned"] = True
+
+        class FakeRunner:
+            def __init__(self, spec, store_dir, **kwargs):
+                seen["chunk_epochs"] = kwargs["chunk_epochs"]
+
+            def run(self):
+                return "outcome"
+
+        monkeypatch.setattr(api, "Study", FakeStudy)
+        monkeypatch.setattr(sweep_package, "SweepRunner", FakeRunner)
+        seen["Stop"] = Stop
+        return seen
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda api, **kw: api.run_experiment("table2", **kw),
+            lambda api, **kw: api.run_study(["table2"], **kw),
+            lambda api, **kw: api.plan_balance(**kw),
+        ],
+        ids=["run_experiment", "run_study", "plan_balance"],
+    )
+    @pytest.mark.parametrize(
+        "kwargs, chunk_epochs",
+        [
+            ({"scale": "small"}, None),
+            ({"scale": "large"}, 4),
+            ({"scale": "xlarge"}, 4),
+            ({"config": StudyConfig.scale("large")}, None),
+        ],
+        ids=["small", "large", "xlarge", "explicit-config"],
+    )
+    def test_study_builds(self, seen, call, kwargs, chunk_epochs):
+        import repro.api as api
+
+        with pytest.raises(seen["Stop"]):
+            call(api, **kwargs)
+        assert seen["chunk_epochs"] == chunk_epochs
+        # Temp shard stores are purged even when the build fails.
+        assert seen["cleaned"]
+
+    @pytest.mark.parametrize(
+        "kwargs, chunk_epochs",
+        [
+            ({"scale": "small"}, None),
+            ({"scale": "large"}, 4),
+            ({"scale": "large", "chunk_epochs": 2}, 2),
+            ({"base": StudyConfig.scale("large")}, None),
+            ({"base": StudyConfig.scale("small"), "chunk_epochs": 3}, 3),
+        ],
+    )
+    def test_sweep(self, seen, kwargs, chunk_epochs):
+        import repro.api as api
+
+        outcome = api.sweep(
+            {"seed": [1]}, experiments=["table2"], **kwargs
+        )
+        assert outcome == "outcome"
+        assert seen["chunk_epochs"] == chunk_epochs
+
+    def test_sweep_rejects_a_zero_chunk(self, seen):
+        import repro.api as api
+
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            api.sweep(
+                {"seed": [1]}, experiments=["table2"], chunk_epochs=0
+            )

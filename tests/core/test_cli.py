@@ -4,7 +4,8 @@ import importlib
 
 import pytest
 
-from repro.cli import _LARGE_DEFAULT_CHUNK_EPOCHS, build_parser, main
+from repro.cli import build_parser, main
+from repro.core.config import DEFAULT_CHUNK_EPOCHS
 
 #: The package, not the ``repro.sweep`` API function of the same name.
 SWEEP = importlib.import_module("repro.sweep")
@@ -49,16 +50,6 @@ class TestMain:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "-o/--output" in err
-
-    def test_float32_series_without_streaming_fails_cleanly(self, capsys):
-        code = main(
-            ["run", "table2", "--scale", "small", "--duration-seconds",
-             "60", "--series-dtype", "float32"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--series-dtype float32" in err
-        assert "streaming" in err
 
     def test_sweep_rejects_bad_axis(self, capsys):
         code = main(["sweep", "table2", "--axis", "notafield=1"])
@@ -184,10 +175,10 @@ class TestSweepStreaming:
         "argv, chunk_epochs",
         [
             ((), None),
-            (("--chunk-epochs", "0"), None),
+            (("--scale", "medium"), None),
             (("--chunk-epochs", "3"), 3),
-            (("--scale", "large"), _LARGE_DEFAULT_CHUNK_EPOCHS),
-            (("--scale", "xlarge"), _LARGE_DEFAULT_CHUNK_EPOCHS),
+            (("--scale", "large"), DEFAULT_CHUNK_EPOCHS),
+            (("--scale", "xlarge"), DEFAULT_CHUNK_EPOCHS),
             (("--scale", "large", "--chunk-epochs", "2"), 2),
         ],
     )
@@ -195,21 +186,53 @@ class TestSweepStreaming:
         assert runner_kwargs(*argv)["chunk_epochs"] == chunk_epochs
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv",
         [
-            (
-                ("--scale", "large", "--chunk-epochs", "0"),
-                "only runs streamed",
-            ),
-            (("--chunk-epochs", "-1"), "must be >= 0"),
+            ("--scale", "large", "--chunk-epochs", "0"),
+            ("--chunk-epochs", "-1"),
+            ("--chunk-epochs", "0"),
         ],
     )
-    def test_rejected_like_run(self, monkeypatch, capsys, argv, message):
+    def test_rejected_like_run(self, monkeypatch, capsys, argv):
         monkeypatch.setattr(SWEEP, "SweepRunner", None)
         assert main(["sweep", "table2", *argv]) == 1
-        assert message in capsys.readouterr().err
+        assert "must be >= 1" in capsys.readouterr().err
         assert main(["run", "table2", *argv]) == 1
-        assert message in capsys.readouterr().err
+        assert "must be >= 1" in capsys.readouterr().err
+
+
+class TestStudyStreaming:
+    """Every study-building command streams the large tiers."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "table2"),
+            ("export-dataset", "-o", "unused"),
+            ("balance", "plan"),
+        ],
+        ids=["run", "export-dataset", "balance"],
+    )
+    @pytest.mark.parametrize(
+        "scale, chunk_epochs",
+        [("small", None), ("large", DEFAULT_CHUNK_EPOCHS)],
+    )
+    def test_scale_default(self, monkeypatch, argv, scale, chunk_epochs):
+        import repro.cli as cli
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_study(config, **kwargs):
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(cli, "Study", fake_study)
+        with pytest.raises(Stop):
+            main([*argv, "--scale", scale])
+        assert seen["chunk_epochs"] == chunk_epochs
 
 
 @pytest.mark.slow

@@ -126,19 +126,50 @@ class TestOwnSettings:
         assert result_digest(out) == result_digest(fresh)
 
 
-def test_extra_faults_drops_qp_stalls_under_redundancy():
-    """Redundancy rejects QP stalls, so the experiment's drawn plans
-    lose theirs; single-copy runs keep every drawn event."""
+@pytest.fixture(scope="module")
+def extra_faults_tables():
+    """``extra_faults`` single-copy and under r=2 (least-loaded reads)."""
     single = Study(tiny_config()).run("extra_faults")
     redundant = Study(
         replace(tiny_config(), redundancy="r=2", read_policy="least_loaded")
     ).run("extra_faults")
+    return single, redundant
+
+
+def test_extra_faults_drops_qp_stalls_under_redundancy(extra_faults_tables):
+    """Redundancy rejects QP stalls, so the experiment's drawn plans
+    lose theirs; single-copy runs keep every drawn event."""
+    single, redundant = extra_faults_tables
     events = single.headers.index("events")
     kept = [row[events] for row in redundant.rows]
     drawn = [row[events] for row in single.rows]
     assert all(k <= d for k, d in zip(kept, drawn)) and kept != drawn
     assert "qp_stall" in redundant.notes
     assert "qp_stall" not in single.notes
+
+
+def test_extra_faults_notes_say_policies_agree_only_under_redundancy(
+    extra_faults_tables,
+):
+    """Replica failover ignores the redirect policy, so under redundancy
+    both policies' rows agree and the notes say so; single-copy notes
+    (and rows) keep the policies apart."""
+    single, redundant = extra_faults_tables
+    policy = single.headers.index("policy")
+
+    def by_policy(table):
+        rows = {}
+        for row in table.rows:
+            rest = row[:policy] + row[policy + 1:]
+            rows.setdefault(row[policy], []).append(rest)
+        return rows["redirect"], rows["queue"]
+
+    redirect, queue = by_policy(redundant)
+    assert redirect == queue
+    assert "redirect and queue rows agree" in redundant.notes
+    redirect, queue = by_policy(single)
+    assert redirect != queue
+    assert "rows agree" not in single.notes
 
 
 class TestOtherSettings:

@@ -94,13 +94,6 @@ class TestStudy:
         b = study.run("table2")
         assert a is b
 
-    def test_series_dtype_requires_a_streamed_build(self):
-        # The dtype only reaches the shard store; a monolithic build
-        # would accept and then ignore it.
-        with pytest.raises(ConfigError, match="series_dtype"):
-            Study(tiny_config(), series_dtype="float32")
-        Study(tiny_config(), chunk_epochs=1, series_dtype="float32")
-
     @pytest.mark.parametrize(
         "option", [{"shard_dir": "shards"}, {"max_rss_mb": 64}]
     )

@@ -100,26 +100,6 @@ class TestPlanFor:
         )
         assert plan.vd_batch_size == 7
 
-    def test_series_itemsize_scales_the_budget(self):
-        # float32 series halve the per-VD footprint, so the same RSS
-        # budget fits roughly twice the VDs per batch.
-        f64 = plan_for(
-            duration_seconds=1200, num_vds=4000, chunk_epochs=2,
-            max_rss_mb=8, series_itemsize=8,
-        )
-        f32 = plan_for(
-            duration_seconds=1200, num_vds=4000, chunk_epochs=2,
-            max_rss_mb=8, series_itemsize=4,
-        )
-        assert f32.vd_batch_size > f64.vd_batch_size
-
-    def test_series_itemsize_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            plan_for(
-                duration_seconds=60, num_vds=4, chunk_epochs=1,
-                series_itemsize=0,
-            )
-
     @pytest.mark.parametrize("seed", range(10))
     def test_batch_size_never_exceeds_fleet(self, seed):
         rng = rng_for(seed + 500)

@@ -1,7 +1,6 @@
 """ShardStore spill/reload: bitwise round-trips and the lazy view.
 
-At float64 the raw ``.npy``/mmap store must reload byte-identical
-series.  The float32 opt-in (lossy cast) gets its own explicit tests.
+The raw ``.npy``/mmap store must reload byte-identical series.
 """
 
 import numpy as np
@@ -32,7 +31,7 @@ def monolithic_traffic():
     return WorkloadGenerator(fleet, DURATION, rngs).generate_all()
 
 
-def _build_store(directory, monolithic_traffic, series_dtype="float64"):
+def _build_store(directory, monolithic_traffic):
     plan = plan_for(
         duration_seconds=DURATION,
         num_vds=len(monolithic_traffic),
@@ -43,7 +42,7 @@ def _build_store(directory, monolithic_traffic, series_dtype="float64"):
     rngs = RngFactory(33)
     fleet = build_fleet(FLEET, rngs)
     generator = WorkloadGenerator(fleet, DURATION, rngs)
-    store = ShardStore(directory, plan, series_dtype=series_dtype)
+    store = ShardStore(directory, plan)
     qp_rw = np.zeros(len(fleet.queue_pairs))
     qp_ww = np.zeros(len(fleet.queue_pairs))
     seg_rw = np.zeros(len(fleet.segments))
@@ -185,10 +184,6 @@ def test_purge_store(store):
 
 
 class TestSeriesOptions:
-    def test_unknown_dtype_rejected(self, tmp_path, store):
-        with pytest.raises(ConfigError, match="series dtype"):
-            ShardStore(tmp_path / "s", store.plan, series_dtype="float16")
-
     def test_pre_v3_manifests_are_rejected(self, store):
         """Version-1/2 stores (npz series possible) are scratch data from
         an older build: open names the version and says to re-run."""
@@ -203,14 +198,23 @@ class TestSeriesOptions:
             ):
                 ShardStore.open(store.directory)
 
+    def test_v4_manifests_are_rejected(self, store):
+        """Version-4 stores may hold float32 series, which this build no
+        longer reads: they are scratch data from an older build too."""
+        import json
+
+        manifest = json.loads(store.manifest_path.read_text())
+        manifest.update(schema_version=4, series_dtype="float32")
+        store.manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="schema version 4;.*re-run"):
+            ShardStore.open(store.directory)
+
 
 class TestRawFormat:
     def test_open_autodetects_raw(self, tmp_path, monolithic_traffic):
-        """A reopened store reads its raw series back bitwise, with the
-        dtype taken from the manifest rather than from the caller."""
+        """A reopened store reads its raw series back bitwise."""
         store = _build_store(tmp_path / "store", monolithic_traffic)
         reopened = ShardStore.open(store.directory)
-        assert reopened.series_dtype == "float64"
         for a, b in zip(reopened.materialize(), monolithic_traffic):
             assert _traffic_equal(a, b)
 
@@ -246,23 +250,3 @@ class TestRawFormat:
         assert isinstance(read_b.base, np.memmap)
         t0, t1 = plan.shard_bounds(0)
         assert np.array_equal(read_b[0], monolithic_traffic[0].read_bytes[t0:t1])
-
-    def test_float32_round_trip_is_the_cast(
-        self, tmp_path, monolithic_traffic
-    ):
-        store = _build_store(
-            tmp_path / "store", monolithic_traffic, "float32"
-        )
-        reloaded = store.materialize()
-        for a, b in zip(reloaded, monolithic_traffic):
-            for field in (
-                "read_bytes", "write_bytes", "read_iops", "write_iops",
-                "hot_fraction_series",
-            ):
-                got = getattr(a, field)
-                assert got.dtype == np.float32
-                assert np.array_equal(
-                    got, getattr(b, field).astype(np.float32)
-                )
-            # The static payload is dtype-agnostic and stays exact.
-            assert np.array_equal(a.qp_read_weights, b.qp_read_weights)

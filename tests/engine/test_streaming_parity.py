@@ -48,7 +48,7 @@ RAGGED_SIM = SimulationConfig(duration_seconds=50, trace_sampling_rate=0.2)
 
 def _run(
     streamed, chunk_epochs=2, workers=1, plan=None, telemetry=False,
-    cleanup=True, sim=SIM, series_dtype="float64",
+    cleanup=True, sim=SIM,
 ):
     """One run; ``cleanup=False`` keeps the shard store alive so the
     caller can read the lazy ``result.traffic`` view (caller must call
@@ -62,7 +62,7 @@ def _run(
         if streamed:
             engine = StreamingSimulator(
                 simulator, chunk_epochs, epoch_seconds=EPOCH,
-                vd_batch_size=5, series_dtype=series_dtype,
+                vd_batch_size=5,
             )
             try:
                 result = simulator.run(
@@ -266,27 +266,6 @@ class TestGeometryEdgeCases:
             assert t1 == t0  # contiguous, no overlap, no gap
 
 
-class TestFormatParity:
-    """The float32 series opt-in is deterministic under its own digest.
-
-    The float64 store is pinned against the monolithic digest by
-    :class:`TestDigestParity`.
-    """
-
-    def test_float32_is_deterministic_with_its_own_digest(self, monolithic):
-        first, _, _ = _run(True, series_dtype="float32")
-        second, _, _ = _run(True, series_dtype="float32")
-        # Deterministic: same geometry + dtype => same bytes...
-        assert result_digest(first) == result_digest(second)
-        # ...but the storage cast is lossy, so float32 runs pin their own
-        # golden digest instead of reusing the float64 one.
-        assert result_digest(first) != result_digest(monolithic)
-        geom, _, _ = _run(
-            True, chunk_epochs=5, workers=2, series_dtype="float32"
-        )
-        assert result_digest(geom) == result_digest(first)
-
-
 class TestTelemetryParity:
     def test_metric_namespaces_match(self):
         _, mono, _ = _run(False, telemetry=True)
@@ -333,13 +312,3 @@ class TestStudyIntegration:
     def test_streamed_study_rejects_bad_chunk(self):
         with pytest.raises(Exception):
             Study(StudyConfig.scale("small"), chunk_epochs=0)
-
-    def test_streamed_study_rejects_unknown_series_dtype(self, tmp_path):
-        study = Study(
-            StudyConfig.scale("small", duration_seconds=60),
-            chunk_epochs=1,
-            shard_dir=str(tmp_path / "shards"),
-            series_dtype="bogus",
-        )
-        with pytest.raises(ConfigError, match="series dtype"):
-            study.build()

@@ -21,7 +21,6 @@ from repro.sweep.canonical import (
     config_digest,
     digest_payload,
     experiment_key,
-    point_key,
     result_table_digest,
 )
 from repro.util.errors import ConfigError
@@ -123,9 +122,6 @@ class TestConfigKeys:
         )
         assert experiment_key(base, "table2") != experiment_key(
             replace(base, cache_min_traces=999), "table2"
-        )
-        assert point_key(base, ["table2"]) != point_key(
-            base, ["table2", "table3"]
         )
 
 

@@ -61,7 +61,7 @@ class TestColdWarm:
         # DAG carries one build per DC, not per (point, DC).
         cold, _, _, _ = cold_and_warm
         assert cold.stats.by_kind["build"]["misses"] == 2
-        assert cold.stats.total == 2 + 2 * len(EXPERIMENTS) + 2
+        assert cold.stats.total == 2 + 2 * len(EXPERIMENTS)
 
     def test_warm_run_is_all_hits(self, cold_and_warm):
         _, warm, _, _ = cold_and_warm
@@ -379,23 +379,23 @@ class TestRetries:
 
 class TestDemandDrivenScheduling:
     def test_unneeded_misses_are_skipped(self, base_config, tmp_path):
-        """Discarding one point's aggregate only reruns that point."""
+        """A missed build whose experiments all hit is not rebuilt."""
         store = tmp_path / "skip"
         spec = make_spec(base_config)
         runner = SweepRunner(spec, store)
         cold = runner.run()
 
-        # Drop one point node: its (cheap) aggregate must be recomputed,
-        # but every build/experiment stays a pure cache hit.
-        points = [
+        # Drop one build: every experiment reading it is still a cache
+        # hit, so nothing needs the build and it is skipped, not rerun.
+        builds = [
             node
             for node in runner._dag(spec.points())
-            if node.kind is NodeKind.POINT
+            if node.kind is NodeKind.BUILD
         ]
-        runner.store.discard(points[0].key)
+        runner.store.discard(builds[0].key)
 
         again = SweepRunner(spec, store).run()
         assert again.stats.misses == 1
-        assert again.stats.executed == 1
-        assert again.stats.skipped == 0
+        assert again.stats.skipped == 1
+        assert again.stats.executed == 0
         assert again.combined_digest == cold.combined_digest
