@@ -86,7 +86,6 @@ def run_experiment(
     config: Optional[StudyConfig] = None,
     scale: str = "small",
     seed: int = 7,
-    workers: int = 1,
     **overrides: Any,
 ) -> ExperimentResult:
     """Build a study and run one experiment by its table/figure id.
@@ -105,7 +104,7 @@ def run_experiment(
     """
     study = _study(config, scale, seed, overrides)
     try:
-        return study.build(workers=workers).run(experiment_id)
+        return study.build().run(experiment_id)
     finally:
         study.cleanup()
 
@@ -116,7 +115,6 @@ def run_study(
     config: Optional[StudyConfig] = None,
     scale: str = "small",
     seed: int = 7,
-    workers: int = 1,
     **overrides: Any,
 ) -> Dict[str, ExperimentResult]:
     """Run several experiments over one shared build.
@@ -130,7 +128,7 @@ def run_study(
     study = _study(config, scale, seed, overrides)
     targets = list(experiments) if experiments else experiment_ids()
     try:
-        study.build(workers=workers)
+        study.build()
         return {
             experiment_id: study.run(experiment_id)
             for experiment_id in targets
@@ -210,7 +208,6 @@ def plan_balance(
     seed: int = 7,
     dc: int = 0,
     direction: str = "total",
-    workers: int = 1,
     **overrides: Any,
 ):
     """Plan an hbal-style global move plan for one cluster snapshot.
@@ -235,7 +232,7 @@ def plan_balance(
     if state is None:
         study = _study(config, scale, seed, overrides)
         try:
-            study.build(workers=workers)
+            study.build()
             results = study.results
             if not 0 <= dc < len(results):
                 raise ConfigError(

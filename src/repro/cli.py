@@ -110,10 +110,6 @@ def _config(args: argparse.Namespace) -> StudyConfig:
     overrides = {}
     duration = getattr(args, "duration_seconds", None)
     if duration is not None:
-        if duration <= 0:
-            raise ReproError(
-                f"--duration-seconds must be positive, got {duration}"
-            )
         overrides["duration_seconds"] = duration
     redundancy = getattr(args, "redundancy", None)
     if redundancy is not None:
@@ -260,7 +256,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     study: Optional[Study] = None
     try:
         study = _study(args)
-        study.build(workers=args.workers)
+        study.build()
         if getattr(args, "digest", None):
             _write_digest(study, args)
         targets = (
@@ -324,7 +320,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     study: Optional[Study] = None
     try:
         study = _study(args)
-        study.build(workers=args.workers)
+        study.build()
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
         for result in study.results:
@@ -408,7 +404,7 @@ def _balance_state(args: argparse.Namespace):
     else:
         study = _study(args)
         try:
-            study.build(workers=args.workers)
+            study.build()
             results = study.results
             if not 0 <= args.dc < len(results):
                 raise ReproError(
@@ -1208,11 +1204,30 @@ def _add_redundancy_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=`` for integers >= ``low``.
+
+    A smaller value is a usage error naming the flag (``argument
+    --chunk-epochs: must be >= 1, got 0``), raised before any build.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value"
+    return parse
+
+
 def _add_streaming_flags(command: argparse.ArgumentParser) -> None:
     """Out-of-core execution flags shared by ``run`` and ``export-dataset``."""
     command.add_argument(
         "--chunk-epochs",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="K",
         dest="chunk_epochs",
@@ -1223,7 +1238,7 @@ def _add_streaming_flags(command: argparse.ArgumentParser) -> None:
     )
     command.add_argument(
         "--max-rss-mb",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="MB",
         dest="max_rss_mb",
@@ -1266,7 +1281,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=7)
     run.add_argument(
         "--duration-seconds",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="SECONDS",
         dest="duration_seconds",
@@ -1280,14 +1295,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the results as a versioned JSON payload "
         "(result_schema_version; check with 'ebs-repro obs validate')",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process fan-out for the simulation build (across DCs, or "
-        "across VDs for a single-DC study); results are identical for "
-        "any worker count",
     )
     run.add_argument(
         "--telemetry",
@@ -1312,7 +1319,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write per-DC SHA-256 result digests as JSON; two runs with "
         "the same seed must produce identical digests regardless of "
-        "--chunk-epochs/--workers (the nightly parity job diffs these)",
+        "--chunk-epochs (the nightly parity job diffs these)",
     )
 
     live = sub.add_parser(
@@ -1593,12 +1600,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/fault-injection.md)",
     )
     balance.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process fan-out for the simulation build (seed-stable)",
-    )
-    balance.add_argument(
         "--telemetry",
         metavar="FILE",
         default=None,
@@ -1628,12 +1629,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--scale", choices=_SCALES, default="small")
     export.add_argument("--seed", type=int, default=7)
-    export.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process fan-out for the simulation build (seed-stable)",
-    )
     export.add_argument(
         "--telemetry",
         metavar="FILE",
@@ -1689,20 +1684,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="process fan-out across ready DAG nodes; results are "
         "identical for any worker count",
     )
     sweep.add_argument(
         "--retries",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help="per-node retry budget for transient failures",
     )
     sweep.add_argument(
         "--chunk-epochs",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="K",
         dest="chunk_epochs",

@@ -22,10 +22,9 @@ the test oracle in ``tests/oracles/pass1.py`` (same multiplication
 operands, same accumulation order, same row order).
 
 Pass 2 (sampled traces) is a draw step and a resolve step.  The draw
-step takes each VD's samples from its own label-keyed child RNGs, so it
-can optionally fan out over a ``ProcessPoolExecutor`` without changing
-any output: results are seed-stable regardless of worker count.  The
-resolve step turns a DC's (or VD batch's) draws into trace columns with
+step takes each VD's samples from its own label-keyed child RNGs, so
+the output does not depend on how the VDs are batched.  The resolve
+step turns a DC's (or VD batch's) draws into trace columns with
 array operations; an in-memory run keeps its draws
 (:class:`TraceDraws`) so a re-simulation only resolves them.
 
@@ -46,10 +45,10 @@ from __future__ import annotations
 import abc
 import contextlib
 import copy
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
-from functools import partial
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (
+    Collection, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -77,12 +76,7 @@ from repro.faults.timeline import (
     FaultAdjustedInputs,
     FaultTimeline,
 )
-from repro.obs.runtime import (
-    get_telemetry,
-    merge_traced,
-    peak_rss_bytes,
-    run_traced,
-)
+from repro.obs.runtime import get_telemetry, peak_rss_bytes
 from repro.trace.dataset import (
     ComputeMetricTable,
     MetricDataset,
@@ -257,20 +251,6 @@ class TraceDraws:
         ):
             getattr(self, name).flags.writeable = False
 
-    @classmethod
-    def concat(cls, parts: "Sequence[TraceDraws]") -> "TraceDraws":
-        """Chunks' draws, in order, as one."""
-        if len(parts) == 1:
-            return parts[0]
-        names = [f.name for f in fields(cls)][1:]
-        return cls(
-            parts[0].duration_seconds,
-            *(
-                np.concatenate([getattr(p, name) for p in parts], axis=-1)
-                for name in names
-            ),
-        )
-
 
 class _ColumnBuffer:
     """Accumulates per-VD column chunks, concatenated once at the end.
@@ -430,8 +410,8 @@ class TrafficSource(abc.ABC):
         """The last two arrays of :func:`stack_weights`."""
 
     @abc.abstractmethod
-    def pass2_chunks(self, workers: int) -> "List[Sequence[VdTraffic]]":
-        """Fleet-ordered VD chunks for pass 2, each cheap to pickle."""
+    def pass2_chunks(self) -> "Iterable[Sequence[VdTraffic]]":
+        """Fleet-ordered VD chunks for pass 2."""
 
     @abc.abstractmethod
     def materialize(self) -> "List[VdTraffic]":
@@ -467,13 +447,8 @@ class InMemoryTraffic(TrafficSource):
     def vd_totals(self):
         return self._weights[4:]
 
-    def pass2_chunks(self, workers: int):
-        traffic = self.traffic
-        workers = min(workers, len(traffic))
-        if workers < 2:
-            return [traffic]
-        bounds = np.linspace(0, len(traffic), workers + 1).astype(int)
-        return [traffic[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    def pass2_chunks(self):
+        return [self.traffic]
 
     def materialize(self):
         return list(self.traffic)
@@ -510,32 +485,6 @@ def _engine_span(source: TrafficSource, name: str, **labels):
     return contextlib.nullcontext()
 
 
-def _pass2_chunk_worker(
-    payload: "tuple[EBSSimulator, Sequence[VdTraffic], np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, bool]",
-) -> "tuple[Optional[Dict[str, np.ndarray]], Optional[Dict[str, int]], Optional[TraceDraws]]":
-    """Module-level worker: draw and resolve one chunk of VDs.
-
-    Runs in a child process under :func:`run_traced`; a store-backed
-    chunk reads its own VD batch there.  Each VD draws only from its
-    own label-keyed RNG streams, so the output is identical no matter
-    how VDs are partitioned over workers.  Returns the chunk's columns
-    (trace columns, or only latency ones unless ``traces``), its fault
-    stats, and its draws when ``keep_draws`` (an in-memory run keeps
-    them).
-    """
-    (
-        simulator, chunk, qp_to_wt, seg_to_bs, wt_load, bs_load,
-        traces, keep_draws,
-    ) = payload
-    with get_telemetry().span(
-        "sim.pass2.chunk", dc=simulator.fleet.config.dc_id, vds=len(chunk)
-    ):
-        columns, fault_stats, draws = simulator._pass2_chunk(
-            chunk, qp_to_wt, seg_to_bs, wt_load, bs_load, traces=traces
-        )
-    return columns, fault_stats, draws if keep_draws else None
-
-
 class EBSSimulator:
     """Simulates one data center's EBS stack for a fixed duration."""
 
@@ -552,9 +501,9 @@ class EBSSimulator:
         self.latency_model = LatencyModel(config.latency)
         self._entities: Optional[_EntityArrays] = None
         #: Scratch-buffer arena for the fused pass-1 kernels, created
-        #: lazily (and pickled as empty: it is pure scratch).  One
-        #: simulator instance reuses the same buffers across every
-        #: pass-1 call — i.e. across all shards of a streamed run.
+        #: lazily.  One simulator instance reuses the same buffers
+        #: across every pass-1 call — i.e. across all shards of a
+        #: streamed run.
         self._arena = None
         self.fault_plan = fault_plan
         #: Compiled once; an empty (or absent) plan compiles to None, so
@@ -1134,7 +1083,6 @@ class EBSSimulator:
 
     def run(
         self,
-        workers: int = 1,
         traffic: "Optional[Sequence[VdTraffic] | TrafficSource]" = None,
         draws: "Optional[TraceDraws]" = None,
         outputs: "Optional[Collection[str]]" = None,
@@ -1149,8 +1097,7 @@ class EBSSimulator:
         streams the same body from its shard store, shard by shard and
         batch by batch.
 
-        ``workers > 1`` fans pass 2 out over a process pool; outputs are
-        identical for any worker count and any shard geometry.
+        Outputs are identical for any shard geometry.
 
         ``traffic`` may also reuse the offered load of an earlier run of
         the same fleet and horizon (a list or a streamed view) instead
@@ -1172,8 +1119,6 @@ class EBSSimulator:
         run, so every asked-for field is bitwise the full run's.
         """
         wanted = resolve_outputs(outputs)
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
         fleet = self.fleet
         cfg = self.config
         t = cfg.duration_seconds
@@ -1220,9 +1165,9 @@ class EBSSimulator:
                     duration_seconds=t,
                 )
         if need_pass2:
-            with telemetry.span("sim.pass2", dc=dc, workers=workers):
+            with telemetry.span("sim.pass2", dc=dc):
                 traces, latency, trace_fault_stats, draws = self._run_pass2(
-                    source, qp_to_wt, seg_to_bs, wt_load, bs_load, workers,
+                    source, qp_to_wt, seg_to_bs, wt_load, bs_load,
                     draws=draws, traces="traces" in wanted,
                 )
 
@@ -1775,7 +1720,6 @@ class EBSSimulator:
         seg_to_bs: np.ndarray,
         wt_load: np.ndarray,
         bs_load: np.ndarray,
-        workers: int,
         draws: "Optional[TraceDraws]" = None,
         traces: bool = True,
     ) -> "tuple[Optional[TraceDataset], TraceLatency, Optional[Dict[str, int]], Optional[TraceDraws]]":
@@ -1787,10 +1731,8 @@ class EBSSimulator:
         and the run's draws: None for a streamed source, which draws
         batch by batch and keeps nothing.
         """
-        telemetry = get_telemetry()
         dc = self.fleet.config.dc_id
         loads = (qp_to_wt, seg_to_bs, wt_load, bs_load)
-        keep_draws = not source.streamed
         if draws is not None:
             parts = [
                 self._pass2_chunk(
@@ -1798,38 +1740,19 @@ class EBSSimulator:
                 )
             ]
         else:
-            chunks = source.pass2_chunks(workers)
-            if workers == 1 or len(chunks) < 2:
-                parts = []
-                for batch, chunk in enumerate(chunks):
-                    with _engine_span(
-                        source, "engine.pass2.batch", dc=dc, batch=batch
-                    ):
-                        columns, stats, drawn = self._pass2_chunk(
-                            chunk, *loads, traces=traces
-                        )
-                    parts.append(
-                        (columns, stats, drawn if keep_draws else None)
+            parts = []
+            for batch, chunk in enumerate(source.pass2_chunks()):
+                with _engine_span(
+                    source, "engine.pass2.batch", dc=dc, batch=batch
+                ):
+                    columns, stats, drawn = self._pass2_chunk(
+                        chunk, *loads, traces=traces
                     )
-            else:
-                payloads = [
-                    (self, chunk, *loads, traces, keep_draws)
-                    for chunk in chunks
-                ]
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(payloads))
-                ) as pool:
-                    # Worker telemetry merges in chunk (VD) order.
-                    parts = merge_traced(pool.map(
-                        partial(
-                            run_traced,
-                            _pass2_chunk_worker,
-                            fresh=telemetry.enabled,
-                        ),
-                        payloads,
-                    ))
-            if keep_draws:
-                draws = TraceDraws.concat([drawn for *_, drawn in parts])
+                parts.append(
+                    (columns, stats, None if source.streamed else drawn)
+                )
+            # In memory, pass 2 is one chunk: its draws are the run's.
+            draws = None if source.streamed else parts[0][2]
         dataset, latency, fault_stats = self._collect_trace_columns(
             parts, traces
         )

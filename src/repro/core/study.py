@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Collection, Dict, List, Optional
 
 from repro.cluster.simulator import (
@@ -16,12 +14,7 @@ from repro.cluster.simulator import (
 from repro.core.config import StudyConfig
 from repro.core.report import ExperimentResult
 from repro.faults.plan import FaultPlan
-from repro.obs.runtime import (
-    get_telemetry,
-    merge_traced,
-    peak_rss_bytes,
-    run_traced,
-)
+from repro.obs.runtime import get_telemetry, peak_rss_bytes
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.rng import RngFactory
 from repro.workload.fleet import FleetConfig, build_fleet
@@ -57,21 +50,20 @@ class BuildInputs:
 
 def build_dc(
     inputs: BuildInputs,
-    workers: int = 1,
     chunk_epochs: "Optional[int]" = None,
     shard_dir: "Optional[str]" = None,
     max_rss_mb: "Optional[int]" = None,
 ) -> "tuple[SimulationResult, Optional[object]]":
     """Build one DC's fleet and simulate it: the one build path.
 
-    ``Study.build`` (inline or in its DC pool) and the sweep's build
-    nodes all call this.  Every RNG stream is keyed by the seed and the
-    DC id, so the result is the same wherever it runs.  With
-    ``chunk_epochs`` the traffic spills to a shard store (under
-    ``shard_dir/dcNN``, else a temp dir) and the run streams from it;
-    the :class:`~repro.engine.StreamingSimulator` comes back with the
-    result so the caller decides when to purge the store, which the
-    result's traffic reads lazily.  An in-memory run returns None.
+    ``Study.build`` and the sweep's build nodes both call this.  Every
+    RNG stream is keyed by the seed and the DC id, so the result is the
+    same wherever it runs.  With ``chunk_epochs`` the traffic spills to
+    a shard store (under ``shard_dir/dcNN``, else a temp dir) and the
+    run streams from it; the :class:`~repro.engine.StreamingSimulator`
+    comes back with the result so the caller decides when to purge the
+    store, which the result's traffic reads lazily.  An in-memory run
+    returns None.
     """
     dc_id = inputs.dc.dc_id
     with get_telemetry().span("study.simulate_dc", dc=dc_id):
@@ -83,7 +75,7 @@ def build_dc(
             fault_plan=inputs.fault_plan,
         )
         if chunk_epochs is None:
-            return simulator.run(workers=workers), None
+            return simulator.run(), None
         from repro.engine import StreamingSimulator
 
         engine = StreamingSimulator(
@@ -95,7 +87,7 @@ def build_dc(
             max_rss_mb=max_rss_mb,
         )
         try:
-            result = simulator.run(workers=workers, traffic=engine.spill())
+            result = simulator.run(traffic=engine.spill())
         except BaseException:
             engine.cleanup()
             raise
@@ -125,6 +117,8 @@ class Study:
             raise ConfigError(
                 f"chunk_epochs must be >= 1, got {chunk_epochs}"
             )
+        if max_rss_mb is not None and max_rss_mb < 1:
+            raise ConfigError(f"max_rss_mb must be >= 1, got {max_rss_mb}")
         # Streaming-only options: a monolithic build would accept and
         # then ignore them.
         for name, value in (
@@ -169,11 +163,6 @@ class Study:
         study._results = list(results)
         return study
 
-    @property
-    def streamed(self) -> bool:
-        """Whether builds run through the streaming engine."""
-        return self.chunk_epochs is not None
-
     def cleanup(self) -> None:
         """Purge temp shard stores created by streamed builds.
 
@@ -196,54 +185,36 @@ class Study:
         return self._results
 
     def build(self, workers: int = 1) -> "Study":
-        """Simulate every DC (idempotent).
+        """Simulate every DC, one after another, in this process (idempotent).
 
-        ``workers > 1`` is an opt-in process fan-out: DCs simulate in
-        parallel (each DC's streams are keyed by its dc_id, so results
-        are identical to the sequential build); a study with a single DC,
-        or a streamed one, instead fans the per-VD trace generation out
-        over ``workers``.  Either way the datasets are seed-stable for
-        any worker count.
+        ``workers`` is kept only so existing ``build(workers=1)`` calls
+        still work; it takes 1.  The one process fan-out is the sweep's
+        (``ebs-repro sweep --workers``).
         """
+        if workers != 1:
+            raise ConfigError(
+                f"builds run in one process, got workers={workers}; "
+                "fan out with 'sweep --workers'"
+            )
         if self._results:
             return self
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
         telemetry = get_telemetry()
-        dcs = [
-            BuildInputs.of(self.config, dc) for dc in self.config.dc_configs
-        ]
-        with telemetry.span(
-            "study.build", workers=workers, dcs=len(dcs)
-        ) as span:
-            if workers > 1 and len(dcs) > 1 and not self.streamed:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(dcs))
-                ) as pool:
-                    # Worker telemetry merges in DC order, so the merged
-                    # registry is byte-identical to the sequential build's.
-                    built = merge_traced(pool.map(
-                        partial(run_traced, build_dc, fresh=telemetry.enabled),
-                        dcs,
-                    ))
-            else:
-                # Streamed DCs run one after another (one bounded working
-                # set at a time); ``workers`` fans out pass 2 inside each.
-                built = []
-                for inputs in dcs:
-                    result, engine = build_dc(
-                        inputs,
-                        workers,
-                        self.chunk_epochs,
-                        self.shard_dir,
-                        self.max_rss_mb,
-                    )
-                    built.append((result, engine))
-                    # Kept at once, so cleanup() purges this DC's store
-                    # even when a later DC fails.
-                    if engine is not None:
-                        self._engines.append(engine)
-            self._results = [result for result, _ in built]
+        dcs = self.config.dc_configs
+        results: List[SimulationResult] = []
+        with telemetry.span("study.build", dcs=len(dcs)) as span:
+            for dc in dcs:
+                result, engine = build_dc(
+                    BuildInputs.of(self.config, dc),
+                    self.chunk_epochs,
+                    self.shard_dir,
+                    self.max_rss_mb,
+                )
+                results.append(result)
+                # Kept at once, so cleanup() purges this DC's store even
+                # when a later DC fails.
+                if engine is not None:
+                    self._engines.append(engine)
+            self._results = results
             if telemetry.enabled:
                 rss = peak_rss_bytes()
                 if rss is not None:

@@ -7,7 +7,7 @@ columnar on-disk store.  The simulator's one run path
 store shard by shard, exactly as it reads in-memory traffic as a single
 shard.  A deterministic merge reassembles full-run outputs that
 are **byte-identical** to the in-memory run for any ``--chunk-epochs``
-/ ``--workers`` choice.
+choice.
 
 Module map::
 

@@ -13,11 +13,7 @@ Correctness notes:
   its slot, which the pass-1 loop structure guarantees;
 - buffers are handed back *uninitialized* (the previous call's bytes);
   every kernel writes each cell before reading it, so values — and
-  therefore result digests — are independent of the arena's history;
-- arenas never travel to worker processes: pickling one yields a fresh
-  empty arena (the buffers are pure scratch, and shipping hundreds of
-  MiB of garbage through a ``ProcessPoolExecutor`` would defeat the
-  point).
+  therefore result digests — are independent of the arena's history.
 """
 
 from __future__ import annotations
@@ -57,8 +53,3 @@ class Arena:
     def nbytes(self) -> int:
         """Total bytes currently held across all slots."""
         return sum(buf.nbytes for buf in self._buffers.values())
-
-    def __reduce__(self):
-        # Scratch state never crosses process boundaries: a pickled
-        # arena reconstructs empty on the other side.
-        return (Arena, ())

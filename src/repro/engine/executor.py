@@ -16,8 +16,7 @@ out-of-core:
    run a :class:`StreamedTraffic`.  Pass 1 then reloads one
    ``(num_vds, L)`` time shard at a time, the parts merge
    (:func:`repro.engine.merge.merge_shard_parts`), and pass 2 reloads one
-   VD batch at a time, in worker processes that open the store
-   themselves when ``workers > 1``.  Redundancy builds its replica
+   VD batch at a time.  Redundancy builds its replica
    expansion from the store's weights and totals.
 
 Fault-plan runs with churn need whole-horizon matrices for
@@ -27,7 +26,7 @@ memory trade-off; their pass 1 still runs shard by shard over
 window-sliced :class:`FaultAdjustedInputs`.
 
 The determinism contract: for a fixed seed, any ``chunk_epochs`` /
-``vd_batch_size`` / ``workers`` choice produces a result whose
+``vd_batch_size`` choice produces a result whose
 :func:`repro.engine.digest.result_digest` — and whose ``sim.*`` /
 ``workload.*`` telemetry metrics — equal the in-memory run's.
 """

@@ -9,9 +9,8 @@ Layout of one store directory::
 
 Series are stored raw: one plain ``.npy`` per (shard, batch) holding a
 single ``(5, batch_vds, shard_len)`` block.  Readers open it with
-``np.load(..., mmap_mode="r")``: the kernel pages bytes in lazily and
-pool workers share the page cache instead of each materializing their
-own copy.  Series stay float64, so a store round-trips bitwise and run
+``np.load(..., mmap_mode="r")``: the kernel pages bytes in lazily, so
+a reader holds only what it touches.  Series stay float64, so a store round-trips bitwise and run
 digests are identical to the in-memory run's.
 
 The per-VD static payload (weight vectors, the :class:`HotspotLbaModel`
@@ -25,7 +24,7 @@ from __future__ import annotations
 import json
 import pickle
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -238,26 +237,6 @@ class ShardStore:
         return out
 
 
-class StoreBatch:
-    """One VD batch of a store, read when iterated.
-
-    A pass-2 chunk of a streamed run: it pickles as the store's address
-    and a batch number, so a worker process reads its own batch instead
-    of receiving it from the parent.
-    """
-
-    def __init__(self, store: ShardStore, batch: int):
-        self.store = store
-        self.batch = batch
-
-    def __len__(self) -> int:
-        v0, v1 = self.store.plan.batch_bounds(self.batch)
-        return v1 - v0
-
-    def __iter__(self):
-        return iter(self.store.traffic_batch(self.batch))
-
-
 class StreamedTraffic(TrafficSource):
     """Lazy ``Sequence[VdTraffic]`` view over a :class:`ShardStore`.
 
@@ -324,11 +303,9 @@ class StreamedTraffic(TrafficSource):
     def vd_totals(self):
         return self._store.vd_totals()
 
-    def pass2_chunks(self, workers: int) -> List[StoreBatch]:
-        return [
-            StoreBatch(self._store, batch)
-            for batch in range(self._store.plan.num_batches)
-        ]
+    def pass2_chunks(self) -> Iterator[List[VdTraffic]]:
+        for batch in range(self._store.plan.num_batches):
+            yield self._store.traffic_batch(batch)
 
     def materialize(self) -> List[VdTraffic]:
         return self._store.materialize()

@@ -9,10 +9,10 @@ perfbench runs at or below 25%.  A run that wants telemetry installs an
 enabled :class:`Telemetry` (usually via :func:`telemetry_session` or the
 CLI's ``--telemetry PATH`` flag) for its duration.
 
-Worker processes (``Study.build(workers=N)``, the pass-2 trace fan-out,
-sweep nodes) run their work through :func:`run_traced`, which installs
-a fresh enabled handle and ships its :meth:`Telemetry.snapshot` back to
-the parent; :func:`merge_traced` folds the snapshots in order.  Metrics
+The sweep's worker processes (``ebs-repro sweep --workers N``, the one
+process fan-out) run each node through :func:`run_traced`, which
+installs a fresh enabled handle and ships its :meth:`Telemetry.snapshot`
+back to the parent; :func:`merge_traced` folds the snapshots in order.  Metrics
 merge deterministically (counters add, gauges max, histogram buckets
 add — all integer-valued by convention), so the merged fleet view is
 byte-identical for any worker count; spans merge by concatenation and

@@ -1,7 +1,7 @@
 """Differential tests: draw + resolve pass 2 vs the per-VD oracle.
 
 The contract being pinned: whatever the redundancy scheme, read policy,
-fault plan or worker count, the trace dataset a run builds from its
+or fault plan, the trace dataset a run builds from its
 per-VD draws and one vectorized resolve is bit-identical (dtypes
 included) to the per-VD loop kept in ``tests/oracles/pass2.py``, and
 so are the fault statistics of the sampled IOs.
@@ -52,14 +52,14 @@ def _random_plan(seed, policy):
     )
 
 
-def _check(redundancy=None, read_policy="primary", plan=None, workers=1):
+def _check(redundancy=None, read_policy="primary", plan=None):
     rngs = RngFactory(11)
     fleet = build_fleet(GOLDEN_FLEET, rngs)
     config = replace(
         GOLDEN_SIM, redundancy=redundancy, read_policy=read_policy
     )
     simulator = EBSSimulator(fleet, config, rngs, fault_plan=plan)
-    result = simulator.run(workers=workers)
+    result = simulator.run()
     qp_to_wt, seg_to_bs = simulator.bindings(
         HypervisorSet(fleet),
         StorageCluster(fleet, redundancy=config.redundancy_config()),
@@ -98,9 +98,6 @@ class TestSingleCopy:
         policy = [RedirectPolicy.QUEUE, RedirectPolicy.REDIRECT][seed % 2]
         _check(plan=_random_plan(seed, policy))
 
-    def test_two_workers(self):
-        _check(plan=_plan(RedirectPolicy.REDIRECT, STALL, DEGRADE), workers=2)
-
 
 class TestRedundancy:
     @pytest.mark.parametrize(
@@ -122,10 +119,6 @@ class TestRedundancy:
             "ec=2+1", "least_loaded", _plan(policy, CRASH, DEGRADE)
         )
         assert result.faults.trace_stats["redirected_ios"] > 0
-
-    def test_two_workers(self):
-        _check("r=3", "power_of_two", _plan(RedirectPolicy.QUEUE, CRASH),
-               workers=2)
 
 
 def test_quiet_fleet_has_typed_empty_columns():

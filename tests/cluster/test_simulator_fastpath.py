@@ -1,13 +1,12 @@
-"""Fast-path equivalence, worker stability, and regression tests.
+"""Fast-path equivalence, seed determinism, and regression tests.
 
 Covers the vectorized pass 1 (must be bit-identical to the scalar
 oracle in ``tests/oracles/pass1.py``, dtypes included), the seed-determinism of the whole simulator
-(golden digest, stable across worker counts), and the ``_ColumnBuffer``
+(golden digest), and the ``_ColumnBuffer``
 empty-dtype / ``_normalized_probabilities`` regressions.
 """
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +19,6 @@ from repro.cluster.simulator import (
     _normalized_probabilities,
 )
 from repro.cluster.storage import StorageCluster
-from repro.core.config import StudyConfig
-from repro.core.study import Study
 from repro.obs.runtime import telemetry_session
 from repro.util.errors import ConfigError
 from repro.util.rng import RngFactory
@@ -44,10 +41,10 @@ GOLDEN_FLEET = FleetConfig(
 GOLDEN_SIM = SimulationConfig(duration_seconds=45, trace_sampling_rate=0.2)
 
 
-def _golden_run(workers: int = 1):
+def _golden_run():
     rngs = RngFactory(11)
     fleet = build_fleet(GOLDEN_FLEET, rngs)
-    return EBSSimulator(fleet, GOLDEN_SIM, rngs).run(workers=workers)
+    return EBSSimulator(fleet, GOLDEN_SIM, rngs).run()
 
 
 def _result_digest(result) -> str:
@@ -114,21 +111,6 @@ class TestPass1Equivalence:
 class TestSeedDeterminism:
     def test_golden_digest(self):
         assert _result_digest(_golden_run()) == GOLDEN_DIGEST
-
-    def test_workers_do_not_change_results(self):
-        assert _result_digest(_golden_run(workers=2)) == GOLDEN_DIGEST
-
-    def test_study_build_workers_stable(self):
-        config = replace(
-            StudyConfig.scale("small"),
-            duration_seconds=60,
-        )
-        sequential = Study(config)
-        sequential.build(workers=1)
-        parallel = Study(config)
-        parallel.build(workers=2)
-        for a, b in zip(sequential.results, parallel.results):
-            assert _result_digest(a) == _result_digest(b)
 
 
 class TestColumnBufferRegression:

@@ -232,7 +232,7 @@ class TestStreamingRule:
             def __init__(self, config, **kwargs):
                 seen["chunk_epochs"] = kwargs.get("chunk_epochs")
 
-            def build(self, workers=1):
+            def build(self):
                 raise Stop
 
             def cleanup(self):

@@ -1,7 +1,7 @@
 """One per-DC build function: every caller builds the same datasets.
 
-``Study.build`` inline, its DC pool, a streamed study and the sweep's
-build nodes (inline and pooled) all go through
+``Study.build``, a streamed study and the sweep's build nodes (inline
+and pooled) all go through
 :func:`repro.core.study.build_dc`; a redundant, faulted config is where
 copies of a build used to drift apart.
 """
@@ -14,6 +14,7 @@ from repro.core import Study
 from repro.engine.digest import result_digest
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, RedirectPolicy
 from repro.sweep import ArtifactStore, SweepRunner, SweepSpec
+from repro.util.errors import ConfigError
 from tests.core.test_study import tiny_config
 
 CONFIG = replace(
@@ -43,8 +44,9 @@ def reference():
     return _digests(study)
 
 
-def test_dc_pool_matches_inline(reference):
-    assert _digests(Study(CONFIG).build(workers=2)) == reference
+def test_build_runs_in_one_process():
+    with pytest.raises(ConfigError, match="sweep --workers"):
+        Study(CONFIG).build(workers=2)
 
 
 def test_streamed_study_matches_inline(reference):

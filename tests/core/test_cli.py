@@ -9,6 +9,7 @@ from repro.core.config import DEFAULT_CHUNK_EPOCHS
 
 #: The package, not the ``repro.sweep`` API function of the same name.
 SWEEP = importlib.import_module("repro.sweep")
+CLI = importlib.import_module("repro.cli")
 
 
 class TestParser:
@@ -50,6 +51,41 @@ class TestMain:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "-o/--output" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("run", "table2", "--duration-seconds", "0"),
+                "argument --duration-seconds: must be >= 1, got 0",
+            ),
+            (
+                ("sweep", "table2", "--workers", "0"),
+                "argument --workers: must be >= 1, got 0",
+            ),
+            (
+                ("sweep", "table2", "--retries", "-1"),
+                "argument --retries: must be >= 0, got -1",
+            ),
+            (
+                ("run", "table2", "--workers", "2"),
+                "unrecognized arguments: --workers 2",
+            ),
+            (
+                ("export-dataset", "-o", "unused", "--workers", "2"),
+                "unrecognized arguments: --workers 2",
+            ),
+            (
+                ("balance", "plan", "--workers", "2"),
+                "unrecognized arguments: --workers 2",
+            ),
+        ],
+    )
+    def test_bad_flags_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_sweep_rejects_bad_axis(self, capsys):
         code = main(["sweep", "table2", "--axis", "notafield=1"])
@@ -191,14 +227,24 @@ class TestSweepStreaming:
             ("--scale", "large", "--chunk-epochs", "0"),
             ("--chunk-epochs", "-1"),
             ("--chunk-epochs", "0"),
+            ("--max-rss-mb", "0"),
+            ("--max-rss-mb", "-5"),
         ],
     )
     def test_rejected_like_run(self, monkeypatch, capsys, argv):
+        # A parse-time usage error naming the flag, before any build.
         monkeypatch.setattr(SWEEP, "SweepRunner", None)
-        assert main(["sweep", "table2", *argv]) == 1
-        assert "must be >= 1" in capsys.readouterr().err
-        assert main(["run", "table2", *argv]) == 1
-        assert "must be >= 1" in capsys.readouterr().err
+        monkeypatch.setattr(CLI, "Study", None)
+        flag = argv[-2]
+        commands = [("run", "table2")]
+        if flag == "--chunk-epochs":  # sweep has no --max-rss-mb
+            commands.append(("sweep", "table2"))
+        for command in commands:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, *argv])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be >= 1" in err
 
 
 class TestStudyStreaming:

@@ -301,13 +301,6 @@ class TestReusedDraws:
             result.draws
         )
 
-    def test_parallel_build_returns_the_same_draws(self, built):
-        parallel = Study(tiny_config()).build(workers=2)
-        for mine, theirs in zip(parallel.results, built.results):
-            assert _draws_fingerprint(mine.draws) == _draws_fingerprint(
-                theirs.draws
-            )
-
     def test_streamed_build_keeps_no_draws(self):
         streamed = Study(tiny_config(), chunk_epochs=2).build()
         try:

@@ -105,6 +105,11 @@ class TestStudy:
             Study(tiny_config(), **option)
         Study(tiny_config(), chunk_epochs=1, **option)
 
+    @pytest.mark.parametrize("max_rss_mb", [0, -5])
+    def test_memory_ceiling_must_be_positive(self, max_rss_mb):
+        with pytest.raises(ConfigError, match="max_rss_mb must be >= 1"):
+            Study(tiny_config(), chunk_epochs=2, max_rss_mb=max_rss_mb)
+
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):

@@ -1,10 +1,10 @@
 """End-to-end telemetry: worker-count parity, CLI round-trip, golden run.
 
 The headline guarantee under test: the merged **metrics** of an
-``N``-worker study build are byte-identical to a 1-worker build (spans
-measure the clock and are exempt).  Plus the ``repro obs`` CLI surface
-over a real artifact and a slow golden-run smoke through ``repro run
---telemetry``.
+``N``-worker sweep are byte-identical to a 1-worker sweep (spans and
+the node-time histogram measure the clock and are exempt).  Plus the
+``repro obs`` CLI surface over a real artifact and a slow golden-run
+smoke through ``repro run --telemetry``.
 """
 
 import json
@@ -15,10 +15,11 @@ from repro.cli import main
 from repro.core import Study, StudyConfig
 from repro.obs.runtime import Telemetry, telemetry_session
 from repro.obs.schema import validate_telemetry
+from repro.sweep import SweepRunner, SweepSpec
 from repro.workload import FleetConfig
 
 
-def _tiny_config(seed=11, dcs=2) -> StudyConfig:
+def _tiny_config(seed=11) -> StudyConfig:
     return StudyConfig(
         seed=seed,
         duration_seconds=60,
@@ -31,7 +32,7 @@ def _tiny_config(seed=11, dcs=2) -> StudyConfig:
                 num_compute_nodes=4,
                 num_storage_nodes=4,
             )
-            for dc in range(dcs)
+            for dc in range(2)
         ],
         wt_cov_windows=(30, 60),
         migration_window_scales=(15, 60),
@@ -43,26 +44,28 @@ def _tiny_config(seed=11, dcs=2) -> StudyConfig:
     )
 
 
-def _metrics_for_workers(workers: int, dcs: int = 2) -> str:
+def _metrics_for_workers(workers: int, store) -> str:
+    spec = SweepSpec(base=_tiny_config(), axes={}, experiments=("table2",))
     with telemetry_session(seed=0) as telemetry:
-        Study(_tiny_config(dcs=dcs)).build(workers=workers)
-        return json.dumps(telemetry.registry.snapshot(), sort_keys=True)
+        SweepRunner(spec, store, workers=workers).run()
+        snapshot = telemetry.registry.snapshot()
+    snapshot["histograms"] = [
+        h for h in snapshot["histograms"] if h["name"] != "sweep.node_seconds"
+    ]
+    return json.dumps(snapshot, sort_keys=True)
 
 
 class TestWorkerParity:
-    def test_multi_dc_fanout_metrics_byte_identical(self):
-        # workers=4 over 2 DCs exercises the DC process fan-out.
-        assert _metrics_for_workers(1) == _metrics_for_workers(4)
-
-    def test_single_dc_trace_fanout_metrics_byte_identical(self):
-        # A single DC fans out per-VD trace generation instead.
-        assert _metrics_for_workers(1, dcs=1) == _metrics_for_workers(
-            4, dcs=1
-        )
+    def test_multi_dc_fanout_metrics_byte_identical(self, tmp_path):
+        # workers=2 builds the two DCs in two sweep worker processes,
+        # whose snapshots merge back through run_traced/merge_traced.
+        one = _metrics_for_workers(1, tmp_path / "one")
+        assert '"sim.traces.ios"' in one  # the nodes' metrics came back
+        assert one == _metrics_for_workers(2, tmp_path / "two")
 
     def test_metrics_are_nonempty_and_named_per_catalogue(self):
         with telemetry_session(seed=0) as telemetry:
-            Study(_tiny_config()).build(workers=1)
+            Study(_tiny_config()).build()
             snap = telemetry.registry.snapshot()
         counters = {c["name"] for c in snap["counters"]}
         assert "sim.traces.ios" in counters
