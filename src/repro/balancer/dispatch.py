@@ -93,14 +93,16 @@ def simulate_dispatch(
     the node's mean throughput per WT (a fluid approximation — adequate
     because we only need the *assignment*, not precise latencies).
     """
-    node_traces = traces.for_node(hypervisor.node_id)
-    n = len(node_traces)
+    rows = traces.group_rows("compute_node_id", hypervisor.node_id)
+    n = rows.size
     if n == 0:
         return None
-    order = np.argsort(node_traces.timestamp, kind="stable")
-    timestamps = node_traces.timestamp[order]
-    sizes = node_traces.size_bytes[order].astype(float)
-    qp_ids = node_traces.qp_id[order]
+    node_timestamps = traces.timestamp[rows]
+    order = np.argsort(node_timestamps, kind="stable")
+    timestamps = node_timestamps[order]
+    rows = rows[order]
+    sizes = traces.size_bytes[rows].astype(float)
+    qp_ids = traces.qp_id[rows]
 
     num_wts = hypervisor.num_workers
     home = static_wt_rows(hypervisor)[node_qp_rows(hypervisor, qp_ids)]
@@ -117,8 +119,11 @@ def simulate_dispatch(
     dispatched = assigned != home
     windows = np.floor(timestamps / config.window_seconds).astype(np.int64)
     num_windows = int(windows.max()) + 1
-    grid = np.zeros((num_windows, num_wts))
-    np.add.at(grid, (windows, assigned), sizes)
+    grid = np.bincount(
+        windows * num_wts + assigned,
+        weights=sizes,
+        minlength=num_windows * num_wts,
+    ).reshape(num_windows, num_wts)
     active = grid.sum(axis=1) > 0
     window_covs = normalized_cov_rows(grid[active])
     totals = grid.sum(axis=0)
@@ -148,19 +153,20 @@ def _join_shortest_queue(
     """
     duration = max(float(timestamps[-1] - timestamps[0]), 1e-9)
     drain_rate = float(sizes.sum() / duration / num_wts)  # bytes/s per WT
+    # Each IO's drain, drain_rate * (now - last), in one array pass: the
+    # same float64 products the loop would form one at a time.
+    drains = drain_rate * np.diff(timestamps, prepend=timestamps[0])
     backlog = [0.0] * num_wts
-    last_time = float(timestamps[0])
-    assigned = []
-    for now, size in zip(timestamps.tolist(), sizes.tolist()):
-        drained = drain_rate * (now - last_time)
+    assigned: List[int] = []
+    append = assigned.append
+    for drained, size in zip(drains.tolist(), sizes.tolist()):
         if drained:
             backlog = [
                 queued - drained if queued > drained else 0.0
                 for queued in backlog
             ]
-        last_time = now
         target = backlog.index(min(backlog))
-        assigned.append(target)
+        append(target)
         backlog[target] += size
     return np.array(assigned, dtype=np.int64)
 

@@ -89,10 +89,17 @@ def segment_period_matrix(
     if period_seconds <= 0 or duration_seconds <= 0:
         raise ConfigError("periods and duration must be positive")
     num_periods = -(-duration_seconds // period_seconds)
-    matrix = np.zeros((num_segments, num_periods))
     periods = table.timestamp // period_seconds
-    np.add.at(matrix, (table.segment_id, periods), values)
-    return matrix
+    if periods.size and periods.max() >= num_periods:
+        raise ConfigError(
+            f"metric timestamps reach past duration_seconds={duration_seconds}"
+        )
+    # bincount adds each cell's rows in row order from 0.0.
+    return np.bincount(
+        table.segment_id * num_periods + periods,
+        weights=values,
+        minlength=num_segments * num_periods,
+    ).reshape(num_segments, num_periods)
 
 
 @dataclass

@@ -69,14 +69,15 @@ def wt_cov_samples(
 
     covs: List[float] = []
     for node_id in range(fleet.config.num_compute_nodes):
-        node_mask = table.compute_node_id == node_id
-        if not node_mask.any():
+        rows = table.group_rows("compute_node_id", node_id)
+        if not rows.size:
             continue
-        wt_local = table.wt_id[node_mask] - node_id * per_node
-        win = windows[node_mask]
-        vals = values[node_mask]
-        grid = np.zeros((num_windows, per_node))
-        np.add.at(grid, (win, wt_local), vals)
+        wt_local = table.wt_id[rows] - node_id * per_node
+        grid = np.bincount(
+            windows[rows] * per_node + wt_local,
+            weights=values[rows],
+            minlength=num_windows * per_node,
+        ).reshape(num_windows, per_node)
         active = grid.sum(axis=1) > 0
         indices = np.nonzero(active)[0]
         if sample_fraction < 1.0 and indices.size:
@@ -93,6 +94,24 @@ def wt_cov_samples(
 # Fig 2(b): the VM-VD-QP decomposition on the hottest VM of each node
 # ---------------------------------------------------------------------------
 
+def _first_seen_totals(
+    keys: np.ndarray, values: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-key sums of ``values``, keys in order of first appearance.
+
+    The same floats, in the same key order, as adding rows one by one
+    into a dict: ``np.bincount`` adds each key's values in row order
+    from 0.0, and ordering by first index is the dict's insertion order
+    (which breaks ``max`` ties and fixes later summation orders).
+    """
+    uniq, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    sums = np.bincount(inverse, weights=values, minlength=uniq.size)
+    order = np.argsort(first)
+    return uniq[order], sums[order]
+
+
 def vm_vd_qp_covs(
     table: ComputeMetricTable, fleet: Fleet, direction: str
 ) -> Dict[str, List[float]]:
@@ -105,21 +124,20 @@ def vm_vd_qp_covs(
     values = _direction_column(table, direction)
     out: Dict[str, List[float]] = {"vm2qp": [], "vm2vd": [], "vd2qp": []}
     for node_id in range(fleet.config.num_compute_nodes):
-        node_mask = table.compute_node_id == node_id
-        if not values[node_mask].sum() > 0:
+        rows = table.group_rows("compute_node_id", node_id)
+        vals = values[rows]
+        if not vals.sum() > 0:
             continue
-        vm_totals: Dict[int, float] = {}
-        vm_ids = table.vm_id[node_mask]
-        vals = values[node_mask]
-        for vm, v in zip(vm_ids, vals):
-            vm_totals[int(vm)] = vm_totals.get(int(vm), 0.0) + float(v)
-        hottest_vm = max(vm_totals, key=vm_totals.get)
+        vm_ids = table.vm_id[rows]
+        vms, vm_sums = _first_seen_totals(vm_ids, vals)
+        hottest_vm = int(vms[np.argmax(vm_sums)])
 
-        vm_mask = node_mask & (table.vm_id == hottest_vm)
+        in_vm = vm_ids == hottest_vm
+        vm_rows = rows[in_vm]
+        vm_vals = vals[in_vm]
         # vm2qp: traffic split over all QPs of the hottest VM.
-        qp_totals: Dict[int, float] = {}
-        for qp, v in zip(table.qp_id[vm_mask], values[vm_mask]):
-            qp_totals[int(qp)] = qp_totals.get(int(qp), 0.0) + float(v)
+        qps, qp_sums = _first_seen_totals(table.qp_id[vm_rows], vm_vals)
+        qp_totals = dict(zip(qps.tolist(), qp_sums.tolist()))
         vm_vds = fleet.vds_of_vm(hottest_vm)
         all_qps = [qp_id for vd in vm_vds for qp_id in vd.qp_ids]
         qp_vector = [qp_totals.get(qp, 0.0) for qp in all_qps]
@@ -127,16 +145,15 @@ def vm_vd_qp_covs(
             out["vm2qp"].append(normalized_cov(qp_vector))
 
         # vm2vd: split over all VDs of the hottest VM (idle VDs count).
-        vd_totals: Dict[int, float] = {}
-        for vd, v in zip(table.vd_id[vm_mask], values[vm_mask]):
-            vd_totals[int(vd)] = vd_totals.get(int(vd), 0.0) + float(v)
+        vds, vd_sums = _first_seen_totals(table.vd_id[vm_rows], vm_vals)
+        vd_totals = dict(zip(vds.tolist(), vd_sums.tolist()))
         vd_vector = [vd_totals.get(vd.vd_id, 0.0) for vd in vm_vds]
         if len(vd_vector) > 1:
             out["vm2vd"].append(normalized_cov(vd_vector))
 
         # vd2qp: split over the QPs of the hottest VD.
         if vd_totals:
-            hottest_vd = max(vd_totals, key=vd_totals.get)
+            hottest_vd = int(vds[np.argmax(vd_sums)])
             vd_info = fleet.vds[hottest_vd]
             vd_qp_vector = [
                 qp_totals.get(qp, 0.0) for qp in vd_info.qp_ids
@@ -157,13 +174,12 @@ def hottest_qp_shares(
     values = _direction_column(table, direction)
     shares: List[float] = []
     for node_id in range(fleet.config.num_compute_nodes):
-        node_mask = table.compute_node_id == node_id
-        if not values[node_mask].sum() > 0:
+        rows = table.group_rows("compute_node_id", node_id)
+        vals = values[rows]
+        if not vals.sum() > 0:
             continue
-        qp_totals: Dict[int, float] = {}
-        for qp, v in zip(table.qp_id[node_mask], values[node_mask]):
-            qp_totals[int(qp)] = qp_totals.get(int(qp), 0.0) + float(v)
-        shares.append(top_share(list(qp_totals.values())))
+        __, qp_sums = _first_seen_totals(table.qp_id[rows], vals)
+        shares.append(top_share(qp_sums.tolist()))
     return shares
 
 
@@ -183,20 +199,14 @@ def classify_node(
     table: ComputeMetricTable, fleet: Fleet, node_id: int
 ) -> Optional[NodeType]:
     """Classify one node; None if the node carried no traffic."""
-    per_node = fleet.config.workers_per_node
-    node_qps = [
-        qp for qp in fleet.queue_pairs if qp.compute_node_id == node_id
-    ]
-    if len(node_qps) < per_node:
+    if len(fleet.qps_of_node(node_id)) < fleet.config.workers_per_node:
         return NodeType.IDLE_WTS
-    node_mask = table.compute_node_id == node_id
-    totals = table.read_bytes[node_mask] + table.write_bytes[node_mask]
+    rows = table.group_rows("compute_node_id", node_id)
+    totals = table.read_bytes[rows] + table.write_bytes[rows]
     if not totals.sum() > 0:
         return None
-    vm_totals: Dict[int, float] = {}
-    for vm, v in zip(table.vm_id[node_mask], totals):
-        vm_totals[int(vm)] = vm_totals.get(int(vm), 0.0) + float(v)
-    hottest_vm = max(vm_totals, key=vm_totals.get)
+    vms, vm_sums = _first_seen_totals(table.vm_id[rows], totals)
+    hottest_vm = int(vms[np.argmax(vm_sums)])
     hottest_vm_qps = sum(
         vd.num_queue_pairs for vd in fleet.vds_of_vm(hottest_vm)
     )
@@ -285,32 +295,100 @@ def static_wt_rows(hypervisor: Hypervisor) -> np.ndarray:
 
 
 def _qp_period_matrix(
-    traces: TraceDataset, hypervisor: Hypervisor, period_seconds: float
+    timestamps: np.ndarray,
+    qp_ids: np.ndarray,
+    sizes: np.ndarray,
+    hypervisor: Hypervisor,
+    period_seconds: float,
 ) -> np.ndarray:
-    """(QP x period) traffic matrix of one node's traces.
+    """(QP x period) traffic matrix of one node's traced IOs.
 
-    Rows follow ``hypervisor.qp_ids``; IOs accumulate in trace order.
+    Rows follow ``hypervisor.qp_ids``; IOs accumulate in trace order
+    through one ``np.bincount`` over the flattened cell index, which
+    adds from 0.0 in input order as ``np.add.at`` does.
     """
-    num_periods = int(np.floor(traces.timestamp.max() / period_seconds)) + 1
-    matrix = np.zeros((len(hypervisor.qp_ids), num_periods))
-    periods = np.floor(traces.timestamp / period_seconds).astype(np.int64)
-    rows = node_qp_rows(hypervisor, traces.qp_id)
-    np.add.at(matrix, (rows, periods), traces.size_bytes.astype(float))
-    return matrix
+    num_periods = int(np.floor(timestamps.max() / period_seconds)) + 1
+    num_qps = len(hypervisor.qp_ids)
+    periods = np.floor(timestamps / period_seconds).astype(np.int64)
+    cells = node_qp_rows(hypervisor, qp_ids) * num_periods + periods
+    return np.bincount(
+        cells, weights=sizes.astype(float), minlength=num_qps * num_periods
+    ).reshape(num_qps, num_periods)
 
 
 def _wt_period_matrix(
-    traces: TraceDataset, hypervisor: Hypervisor, period_seconds: float
+    timestamps: np.ndarray,
+    qp_ids: np.ndarray,
+    sizes: np.ndarray,
+    hypervisor: Hypervisor,
+    period_seconds: float,
 ) -> np.ndarray:
     """(WT x period) load under the node's current (static) binding.
 
-    One ``np.add.at`` over QPs in QP order, so every cell is the same
-    float sum, in the same order, as adding the QP rows one by one.
+    QP rows are added to their WT's row one by one in QP order, so every
+    cell is the same float sum, in the same order, as a per-QP replay.
     """
-    matrix = _qp_period_matrix(traces, hypervisor, period_seconds)
+    matrix = _qp_period_matrix(
+        timestamps, qp_ids, sizes, hypervisor, period_seconds
+    )
     loads = np.zeros((hypervisor.num_workers, matrix.shape[1]))
-    np.add.at(loads, static_wt_rows(hypervisor), matrix)
+    for qp, wt in enumerate(static_wt_rows(hypervisor).tolist()):
+        loads[wt] += matrix[qp]
     return loads
+
+
+def _hosted_groups(
+    busy: np.ndarray, trigger_ratio: float
+) -> "tuple[np.ndarray, int]":
+    """The static WT each WT hosts in each busy period, and the swaps.
+
+    ``busy`` is the static (WT x period) load matrix without its empty
+    periods.  A period's loads are a permutation of its static column,
+    so whether it swaps (hottest > ratio x coldest) depends on the
+    column alone, and which WTs swap depends only on the permutation in
+    force and on which static WTs hold the column's max and min: the
+    first WT, in WT order, hosting one of each.  The walk over swapping
+    periods therefore looks each step up in a table keyed by
+    (permutation, max set, min set), filled on first use, and records
+    the permutation after every swap.  Returns ``hosted`` (WT x busy
+    period, static WT indices) and the swap count.
+    """
+    num_wts, num_busy = busy.shape
+    high = busy.max(axis=0)
+    low = busy.min(axis=0)
+    swapping = np.flatnonzero(high > trigger_ratio * low)
+    loads = busy[:, swapping]
+    # Each swapping period's max and min sets as one bitmask code: bit
+    # ``num_wts + g`` if static WT g holds the max, bit g if the min.
+    shift = 2 * num_wts
+    bits = 1 << np.arange(num_wts, dtype=np.int64 if shift < 63 else object)
+    codes = (bits @ (loads == high[swapping])) << num_wts | bits @ (
+        loads == low[swapping]
+    )
+    perms = [tuple(range(num_wts))]  # perms[i][w]: the static WT w hosts
+    perm_ids = {perms[0]: 0}
+    step: Dict[int, int] = {}  # (perm id << shift) + code -> next perm id
+    state = 0
+    after = [0]  # permutation id in force after each swap
+    for code in codes.tolist():
+        key = (state << shift) + code
+        nxt = step.get(key)
+        if nxt is None:
+            perm = list(perms[state])
+            hot_set = code >> num_wts
+            hot = next(w for w, g in enumerate(perm) if hot_set >> g & 1)
+            cold = next(w for w, g in enumerate(perm) if code >> g & 1)
+            perm[hot], perm[cold] = perm[cold], perm[hot]
+            swapped = tuple(perm)
+            if swapped not in perm_ids:
+                perm_ids[swapped] = len(perms)
+                perms.append(swapped)
+            nxt = step[key] = perm_ids[swapped]
+        state = nxt
+        after.append(state)
+    # Busy period k runs under the permutation left by the swaps before k.
+    in_force = np.array(after)[np.searchsorted(swapping, np.arange(num_busy))]
+    return np.array(perms)[in_force].T, int(swapping.size)
 
 
 def simulate_rebinding(
@@ -328,10 +406,12 @@ def simulate_rebinding(
     A swap exchanges two WTs' whole QP sets, so at every period WT ``w``
     carries the static load of some WT ``perm[w]``: the replay builds
     the static (WT x period) load matrix once and tracks only that
-    permutation.  Periods with no traffic add nothing and never fire a
-    swap, so the loop visits only the non-empty ones; ties between
-    equally loaded WTs go to the first index, as ``argmax``/``argmin``
-    break them.  The outcome is bit-identical to re-summing every
+    permutation (:func:`_hosted_groups`).  Periods with no traffic add
+    nothing and never fire a swap, so only the non-empty ones count;
+    ties between equally loaded WTs go to the first index, as
+    ``argmax``/``argmin`` break them.  Each WT's dynamic total is one
+    ``np.cumsum`` along its hosted loads, the same running sum as adding
+    period by period.  The outcome is bit-identical to re-summing every
     period's loads from the live binding.
 
     Returns None when the node has no traced IOs.  Note the paper's prose
@@ -339,33 +419,29 @@ def simulate_rebinding(
     improvement; we use after/before so that < 1 consistently means the
     rebinding helped (the figure's semantics).
     """
-    node_traces = traces.for_node(hypervisor.node_id)
-    if len(node_traces) == 0:
+    rows = traces.group_rows("compute_node_id", hypervisor.node_id)
+    if rows.size == 0:
         return None
     static = _wt_period_matrix(
-        node_traces, hypervisor, config.period_seconds
+        traces.timestamp[rows],
+        traces.qp_id[rows],
+        traces.size_bytes[rows],
+        hypervisor,
+        config.period_seconds,
     )
     num_wts, num_periods = static.shape
     static_totals = np.cumsum(static, axis=1)[:, -1]
 
-    ratio = config.trigger_ratio
-    perm = list(range(num_wts))  # perm[w] = static WT whose QPs w hosts
-    dynamic_totals = [0.0] * num_wts
-    swaps = 0
-    busy = np.flatnonzero(static.any(axis=0))
-    for column in static[:, busy].T.tolist():
-        loads = [column[group] for group in perm]
-        for wt in range(num_wts):
-            dynamic_totals[wt] += loads[wt]
-        hot = loads.index(max(loads))
-        cold = loads.index(min(loads))
-        if loads[hot] > ratio * loads[cold]:
-            swaps += 1
-            perm[hot], perm[cold] = perm[cold], perm[hot]
+    busy = static[:, np.flatnonzero(static.any(axis=0))]
+    hosted, swaps = _hosted_groups(busy, config.trigger_ratio)
+    dynamic = busy[hosted, np.arange(busy.shape[1])]
+    dynamic_totals = np.zeros(num_wts)
+    if dynamic.size:
+        dynamic_totals = np.cumsum(dynamic, axis=1)[:, -1]
 
     cov_before = normalized_cov(static_totals) if static_totals.sum() else 0.0
     cov_after = (
-        normalized_cov(dynamic_totals) if any(dynamic_totals) else 0.0
+        normalized_cov(dynamic_totals) if dynamic_totals.any() else 0.0
     )
     if cov_before == 0.0:
         gain = 1.0
@@ -392,10 +468,16 @@ def hottest_wt_series(
     """
     if period_seconds <= 0:
         raise ConfigError("period_seconds must be positive")
-    node_traces = traces.for_node(hypervisor.node_id)
-    if len(node_traces) == 0:
+    rows = traces.group_rows("compute_node_id", hypervisor.node_id)
+    if rows.size == 0:
         return np.zeros(1), 0.0
-    wt_series = _wt_period_matrix(node_traces, hypervisor, period_seconds)
+    wt_series = _wt_period_matrix(
+        traces.timestamp[rows],
+        traces.qp_id[rows],
+        traces.size_bytes[rows],
+        hypervisor,
+        period_seconds,
+    )
     hottest = int(np.argmax(wt_series.sum(axis=1)))
     series = wt_series[hottest]
     return series, p2a(series) if series.sum() else 0.0

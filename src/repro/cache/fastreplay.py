@@ -26,21 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.dataset import TraceDataset
 from repro.util.errors import ConfigError
 
 PAGE_BYTES = 4096
 
 
 def pages_in_time_order(
-    traces: TraceDataset, page_bytes: int = PAGE_BYTES
+    timestamps: np.ndarray,
+    offsets: np.ndarray,
+    page_bytes: int = PAGE_BYTES,
 ) -> np.ndarray:
-    """The 4 KiB page id of each traced IO, sorted by timestamp (stable)."""
-    ts = traces.timestamp
-    if ts.size > 1 and not np.all(ts[:-1] <= ts[1:]):
-        order = np.argsort(ts, kind="stable")
-        return traces.offset_bytes[order] // page_bytes
-    return traces.offset_bytes // page_bytes
+    """The 4 KiB page id of each traced IO, sorted by timestamp (stable).
+
+    ``timestamps`` and ``offsets`` are one VD's ``timestamp`` and
+    ``offset_bytes`` columns, row for row.
+    """
+    if timestamps.size > 1 and not np.all(timestamps[:-1] <= timestamps[1:]):
+        order = np.argsort(timestamps, kind="stable")
+        return offsets[order] // page_bytes
+    return offsets // page_bytes
 
 
 @dataclass

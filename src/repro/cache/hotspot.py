@@ -75,12 +75,10 @@ def hottest_block_wr_ratio(
     traces: TraceDataset, block: HottestBlock
 ) -> float:
     """wr_ratio (by IO count) of the traffic inside the hottest block."""
-    vd_traces = traces.for_vd(block.vd_id)
-    in_block = (
-        (vd_traces.offset_bytes >= block.start_byte)
-        & (vd_traces.offset_bytes < block.end_byte)
-    )
-    ops = vd_traces.op[in_block]
+    rows = traces.group_rows("vd_id", block.vd_id)
+    offsets = traces.offset_bytes[rows]
+    in_block = (offsets >= block.start_byte) & (offsets < block.end_byte)
+    ops = traces.op[rows[in_block]]
     writes = float((ops == int(OpKind.WRITE)).sum())
     reads = float((ops == int(OpKind.READ)).sum())
     return wr_ratio(writes, reads)
@@ -98,19 +96,18 @@ def hot_rate(
     """
     if window_seconds <= 0:
         raise ConfigError("window_seconds must be positive")
-    vd_traces = traces.for_vd(block.vd_id)
-    if len(vd_traces) == 0:
+    rows = traces.group_rows("vd_id", block.vd_id)
+    if rows.size == 0:
         return None
-    windows = np.floor(vd_traces.timestamp / window_seconds).astype(np.int64)
-    in_block = (
-        (vd_traces.offset_bytes >= block.start_byte)
-        & (vd_traces.offset_bytes < block.end_byte)
+    windows = np.floor(traces.timestamp[rows] / window_seconds).astype(
+        np.int64
     )
+    offsets = traces.offset_bytes[rows]
+    in_block = (offsets >= block.start_byte) & (offsets < block.end_byte)
     num_windows = int(windows.max()) + 1
-    total = np.zeros(num_windows)
-    hot = np.zeros(num_windows)
-    np.add.at(total, windows, 1.0)
-    np.add.at(hot, windows, in_block.astype(float))
+    # Integer counts, converted to float exactly.
+    total = np.bincount(windows, minlength=num_windows).astype(float)
+    hot = np.bincount(windows[in_block], minlength=num_windows).astype(float)
     active = total > 0
     if not active.any():
         return None

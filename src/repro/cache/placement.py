@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cache.hotspot import HottestBlock, hottest_block
 from repro.cluster.latency import LatencyModel
-from repro.trace.dataset import TraceDataset
+from repro.trace.dataset import TraceDataset, end_to_end_us
 from repro.trace.records import OpKind
 from repro.util.errors import ConfigError
 from repro.workload.fleet import Fleet
@@ -84,21 +84,30 @@ def latency_gain(
     mask &= traces.op == op
     if not mask.any():
         return None
-    subset = traces.where(mask)
+    # Gather only the columns read below, not the whole trace slice.
+    rows = np.flatnonzero(mask)
+    offsets = traces.offset_bytes[rows]
 
     # Each traced IO's block, looked up in the sorted vd_id -> block table.
-    row = np.searchsorted(vd_ids, subset.vd_id)
+    row = np.searchsorted(vd_ids, traces.vd_id[rows])
     starts = np.array([blocks[vd].start_byte for vd in vd_ids.tolist()])[row]
     ends = np.array([blocks[vd].end_byte for vd in vd_ids.tolist()])[row]
-    hits = (subset.offset_bytes >= starts) & (subset.offset_bytes < ends)
+    hits = (offsets >= starts) & (offsets < ends)
 
-    without = subset.latency_us
+    without = end_to_end_us(
+        traces.lat_compute_us[rows],
+        traces.lat_frontend_us[rows],
+        traces.lat_block_server_us[rows],
+        traces.lat_backend_us[rows],
+        traces.lat_chunk_server_us[rows],
+    )
     with_cache = without.copy()
     if hits.any():
+        hit_rows = rows[hits]
         with_cache[hits] = latency_model.cached_latency(
             rng,
-            subset.op[hits].astype(bool),
-            subset.size_bytes[hits],
+            traces.op[hit_rows].astype(bool),
+            traces.size_bytes[hit_rows],
             location,
         )
     gains: Dict[float, float] = {}

@@ -39,10 +39,12 @@ def simulate_vd_caches(
     ``{block_bytes: {policy: hit_ratio}}``, or None when the VD has no
     traced IOs.
     """
-    vd_traces = traces.for_vd(vd_id)
-    if len(vd_traces) == 0:
+    rows = traces.group_rows("vd_id", vd_id)
+    if rows.size == 0:
         return None
-    prepared = prepare_pages(pages_in_time_order(vd_traces))
+    prepared = prepare_pages(
+        pages_in_time_order(traces.timestamp[rows], traces.offset_bytes[rows])
+    )
     accesses = prepared.accesses
     out: "Dict[int, Dict[str, float]]" = {}
     for block_bytes in block_bytes_list:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -1772,7 +1773,16 @@ def main(argv: "list[str] | None" = None) -> int:
         "obs": _cmd_obs,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``, ``| grep -q``).
+        # Point stdout at devnull so the interpreter's last flush cannot
+        # raise again, and exit cleanly: the reader has what it wanted.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except ReproError as error:
         cause = error.__cause__
         if cause is not None and cause is not error:

@@ -84,20 +84,32 @@ def _least_loaded(inputs: PolicyInputs, rng=None) -> np.ndarray:
     """Greedy: each segment's reads go to its currently lightest copies.
 
     Segments are visited heaviest-first so the big flows commit before
-    the long tail fills in around them.
+    the long tail fills in around them.  Copies are ranked by their BS's
+    current load, ties to the lower slot (a stable sort over slots), and
+    the loads are Python floats: one segment's pick is a few scalar
+    operations, where numpy would pay its call overhead per segment.
+    A row's copies sit on distinct BlockServers (placement checks it).
     """
     num_segments, width = inputs.table.shape
-    weights = np.zeros((num_segments, width), dtype=np.float64)
-    load = _base_bs_load(inputs)
+    load = _base_bs_load(inputs).tolist()
+    table = inputs.table.tolist()
+    mass = inputs.seg_read_mass.tolist()
     fanout = inputs.read_fanout
     share = 1.0 / fanout
-    slot_ids = np.arange(width)
-    for seg in _descending_mass_order(inputs):
-        row = inputs.table[seg]
-        order = np.lexsort((slot_ids, load[row]))
-        chosen = order[:fanout]
-        weights[seg, chosen] = share
-        load[row[chosen]] += inputs.seg_read_mass[seg] * share
+    slots = range(width)
+    order = _descending_mass_order(inputs)
+    chosen = []
+    for seg in order.tolist():
+        row = table[seg]
+        loads = [load[bs] for bs in row]
+        picks = sorted(slots, key=loads.__getitem__)[:fanout]
+        added = mass[seg] * share
+        for slot in picks:
+            load[row[slot]] += added
+        chosen.extend(picks)
+    weights = np.zeros((num_segments, width), dtype=np.float64)
+    rows = np.repeat(order, fanout)
+    weights[rows, np.asarray(chosen, dtype=np.int64)] = share
     return weights
 
 

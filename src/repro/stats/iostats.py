@@ -85,10 +85,10 @@ def inter_arrival_cv(traces: TraceDataset, vd_id: int) -> "float | None":
     burstier (CV >> 1), the self-similarity signature of the related
     characterization work.  Returns None with fewer than 3 traced IOs.
     """
-    vd_traces = traces.for_vd(vd_id)
-    if len(vd_traces) < 3:
+    rows = traces.group_rows("vd_id", vd_id)
+    if rows.size < 3:
         return None
-    times = np.sort(vd_traces.timestamp)
+    times = np.sort(traces.timestamp[rows])
     gaps = np.diff(times)
     mean = gaps.mean()
     if mean == 0:

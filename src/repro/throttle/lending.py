@@ -95,46 +95,39 @@ def simulate_lending(
 
     Returns the group's total throttled member-seconds with and without
     lending.  The without-lending baseline uses the static caps.
+
+    The replay steps per period, not per second.  Until a period's first
+    throttled second its caps equal the subscribed caps, and after that
+    second's one lend step they stay constant until the period ends.  So
+    one comparison against the subscribed caps finds every period's first
+    throttled second, the lend step runs on that column alone, and the
+    rest of the period is counted against the adjusted caps at once.
+    The counts equal the per-second replay's
+    (``tests/oracles/lending.py``).
     """
     _check_resource(resource)
     usage = group.usage(resource)
     base_caps = group.caps(resource).astype(float)
-    num_members, duration = usage.shape
+    duration = usage.shape[1]
+    period = config.period_seconds
 
-    without = int((usage >= base_caps[:, None]).sum())
+    per_second = (usage >= base_caps[:, None]).sum(axis=0)
+    without = int(per_second.sum())
 
-    caps = base_caps.copy()
-    lent_this_period = False
+    throttled = np.flatnonzero(per_second)
+    periods = throttled // period
+    firsts = throttled[np.flatnonzero(np.diff(periods, prepend=-1))]
     throttled_with = 0
-    for t in range(duration):
-        if t % config.period_seconds == 0:
-            caps = base_caps.copy()
-            lent_this_period = False
-        over = usage[:, t] >= caps
-        throttled_with += int(over.sum())
-        if lent_this_period or not over.any():
-            continue
-        # First throttle of this period: perform the lending adjustment.
-        # AR is computed on *measured* traffic (clipped at the caps) like
-        # the production hypervisor would observe it.
-        measured = np.minimum(usage[:, t], caps)
-        ar = float(base_caps.sum() - measured.sum())
-        if ar <= 0:
-            lent_this_period = True
-            continue
-        lendable = config.lending_rate * ar
-        overshoot = np.clip(usage[:, t] - caps, 0.0, None)
-        overshoot_total = overshoot[over].sum()
-        if overshoot_total > 0:
-            boost = lendable * overshoot / overshoot_total
+    for t in firsts.tolist():
+        end = min((t // period + 1) * period, duration)
+        throttled_with += int(per_second[t])
+        caps = _lend(usage[:, t], base_caps, config.lending_rate)
+        if caps is None:
+            throttled_with += int(per_second[t + 1:end].sum())
         else:
-            boost = np.where(over, lendable / max(1, over.sum()), 0.0)
-        caps = caps + np.where(over, boost, 0.0)
-        # Unthrottled members give up p x their individual headroom.
-        headroom = np.clip(caps - usage[:, t], 0.0, None)
-        caps = caps - np.where(~over, config.lending_rate * headroom, 0.0)
-        caps = np.maximum(caps, 1e-9)
-        lent_this_period = True
+            throttled_with += int(
+                (usage[:, t + 1:end] >= caps[:, None]).sum()
+            )
 
     return LendingOutcome(
         label=group.label,
@@ -142,3 +135,34 @@ def simulate_lending(
         throttled_seconds_without=without,
         throttled_seconds_with=throttled_with,
     )
+
+
+def _lend(
+    column: np.ndarray, base_caps: np.ndarray, lending_rate: float
+) -> "np.ndarray | None":
+    """The caps after one lend step at a throttled second.
+
+    ``column`` is the members' usage at the period's first throttled
+    second, where the caps still equal ``base_caps``.  Returns None when
+    there is nothing to lend (``AR <= 0``): the caps then stay at their
+    subscribed values for the rest of the period.
+    """
+    over = column >= base_caps
+    # AR is computed on *measured* traffic (clipped at the caps) like
+    # the production hypervisor would observe it.
+    measured = np.minimum(column, base_caps)
+    ar = float(base_caps.sum() - measured.sum())
+    if ar <= 0:
+        return None
+    lendable = lending_rate * ar
+    overshoot = np.clip(column - base_caps, 0.0, None)
+    overshoot_total = overshoot[over].sum()
+    if overshoot_total > 0:
+        boost = lendable * overshoot / overshoot_total
+    else:
+        boost = np.where(over, lendable / max(1, over.sum()), 0.0)
+    caps = base_caps + np.where(over, boost, 0.0)
+    # Unthrottled members give up p x their individual headroom.
+    headroom = np.clip(caps - column, 0.0, None)
+    caps = caps - np.where(~over, lending_rate * headroom, 0.0)
+    return np.maximum(caps, 1e-9)

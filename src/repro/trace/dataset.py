@@ -131,15 +131,18 @@ class _ColumnarTable:
         )
 
     # -- aggregation helpers -------------------------------------------------
+    #
+    # Both sum with ``np.bincount``: it adds each key's values in row
+    # order from 0.0, so every sum is the same float as a row-by-row
+    # accumulation.
 
     def sum_by(self, key_field: str, value_field: str) -> Dict[int, float]:
         """Sum ``value_field`` grouped by integer ``key_field``."""
         keys = getattr(self, key_field)
         values = getattr(self, value_field)
         uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = np.zeros(uniq.size)
-        np.add.at(sums, inverse, values)
-        return {int(k): float(s) for k, s in zip(uniq, sums)}
+        sums = np.bincount(inverse, weights=values, minlength=uniq.size)
+        return dict(zip(uniq.tolist(), sums.tolist()))
 
     def timeseries_by(
         self, key_field: str, value_field: str, total_seconds: int
@@ -160,9 +163,12 @@ class _ColumnarTable:
         keys = getattr(self, key_field)
         values = getattr(self, value_field)
         uniq, inverse = np.unique(keys, return_inverse=True)
-        grid = np.zeros((uniq.size, total_seconds))
-        np.add.at(grid, (inverse, timestamps), values)
-        return {int(k): grid[i] for i, k in enumerate(uniq)}
+        grid = np.bincount(
+            inverse * total_seconds + timestamps,
+            weights=values,
+            minlength=uniq.size * total_seconds,
+        ).reshape(uniq.size, total_seconds)
+        return dict(zip(uniq.tolist(), grid))
 
 
 class ComputeMetricTable(_ColumnarTable):

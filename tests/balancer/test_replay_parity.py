@@ -224,3 +224,35 @@ class TestHandBuiltNodes:
             hottest_wt_series(traces, hypervisor)
         with pytest.raises(SimulationError, match=f"qp {stray}"):
             simulate_dispatch(traces, hypervisor, DispatchPolicy.HASH_QP)
+
+
+class TestSwapWalk:
+    """The memoized permutation walk against the per-period oracle."""
+
+    @pytest.mark.parametrize("workers", (2, 3, 5, 8, 33))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_bindings_and_loads(self, workers, seed):
+        # 33 WTs need more than 62 code bits: the object-dtype masks.
+        rng = np.random.default_rng([workers, seed])
+        hypervisor = Hypervisor(_fleet(workers_per_node=workers), 0)
+        qps = hypervisor.qp_ids
+        for qp in qps:
+            wt = hypervisor.worker_ids[int(rng.integers(0, workers))]
+            hypervisor.rebind(qp, wt)
+        n = 400
+        # Few distinct sizes and coarse timestamps: many equal loads, so
+        # max and min sets with several members are common.
+        traces = _traces(
+            0,
+            np.round(rng.random(n) * 3.0, 2),
+            rng.choice(qps, size=n),
+            rng.choice([512, 4096, 4096, 8192], size=n),
+        )
+        _assert_all_match(traces, hypervisor)
+
+    def test_zero_sized_ios_leave_no_busy_period(self, four_wt_fleet):
+        hypervisor = Hypervisor(four_wt_fleet, 0)
+        traces = _traces(0, [0.5, 1.5], hypervisor.qp_ids[:2], [0, 0])
+        outcome = simulate_rebinding(traces, hypervisor)
+        assert outcome.rebinding_ratio == 0.0
+        _assert_all_match(traces, hypervisor)

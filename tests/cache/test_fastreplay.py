@@ -108,11 +108,13 @@ class TestPreparePages:
 class TestPagesInTimeOrder:
     def test_sorts_by_timestamp(self):
         traces = traces_from_pages([1, 2, 3], timestamps=[3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(pages_in_time_order(traces), [2, 3, 1])
+        pages = pages_in_time_order(traces.timestamp, traces.offset_bytes)
+        np.testing.assert_array_equal(pages, [2, 3, 1])
 
     def test_already_sorted_passthrough(self):
         traces = traces_from_pages([4, 5, 6])
-        np.testing.assert_array_equal(pages_in_time_order(traces), [4, 5, 6])
+        pages = pages_in_time_order(traces.timestamp, traces.offset_bytes)
+        np.testing.assert_array_equal(pages, [4, 5, 6])
 
 
 class TestFrozenFast:
@@ -247,7 +249,9 @@ class TestReplayFast:
         rng = np.random.default_rng(6)
         pages = rng.integers(0, 50, size=700)
         traces = traces_from_pages(pages, timestamps=rng.random(700) * 60)
-        prep = prepare_pages(pages_in_time_order(traces))
+        prep = prepare_pages(
+            pages_in_time_order(traces.timestamp, traces.offset_bytes)
+        )
         fifo, lru = FifoCache(16), LruCache(16)
         frozen = FrozenCache(16, start_page=8)
         replay_trace(fifo, traces)
@@ -336,7 +340,10 @@ class TestDenseSamplingRun:
         for vd_id in np.unique(traces.vd_id).tolist():
             capacity_bytes = run.fleet.vds[vd_id].capacity_bytes
             out = simulate_vd_caches(traces, vd_id, self.BLOCKS, capacity_bytes)
-            prep = prepare_pages(pages_in_time_order(traces.for_vd(vd_id)))
+            vd = traces.for_vd(vd_id)
+            prep = prepare_pages(
+                pages_in_time_order(vd.timestamp, vd.offset_bytes)
+            )
             for block_bytes in self.BLOCKS:
                 ref = oracle_ratios(traces, vd_id, block_bytes, capacity_bytes)
                 assert out[block_bytes] == ref, (vd_id, block_bytes)

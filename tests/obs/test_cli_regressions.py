@@ -7,6 +7,10 @@ renders whatever it can.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +85,29 @@ class TestNonListMetrics:
         assert any("metrics.total" in e for e in errors)
         assert all(kind in ("counters", "gauges", "histograms")
                    for kind in METRIC_KINDS)
+
+
+class TestClosedPipe:
+    def test_report_into_a_closed_pipe_exits_cleanly(self, tmp_path):
+        # Enough rows that the report outgrows any pipe buffer, so the
+        # writer is still writing when the reader goes away.
+        t = Telemetry(enabled=True)
+        for index in range(4000):
+            t.counter("bench.pipe.rows", row=index).inc(index)
+        path = t.write(tmp_path / "wide.json")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "obs", "report", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0, stderr
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
